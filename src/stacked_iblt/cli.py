@@ -20,6 +20,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
+from .core import CHECKSUM_CELL_BYTES, PLAIN_CELL_BYTES
 from .hashing import KWiseHash, SeededStream, bad_base_count, is_identity_multiset
 from .reconcile import reconcile_local, serialize, sketch_of
 from .stacked import DEFAULT_BIG_C, DEFAULT_C0, Params, StackedSketch, plan_layout
@@ -190,12 +191,12 @@ def cmd_space(args) -> int:
     bound = lay.cell_bound(params.big_c)
     classic = params.big_c * args.n * (1.0 + math.log2(1.0 / args.delta) / math.log2(max(args.n, 2)))
     # Cell cost model lg(|U| n / delta) with a 64-bit universe, next to the
-    # in-memory widths (24 or 40 bytes).
+    # in-memory cell widths.
     model_bits = 64 + math.log2(max(args.n, 2)) + math.log2(1.0 / args.delta)
     _say(args.out, f"total_cells={total} closed_form_bound={bound!r} "
                    f"classic_cells={classic!r} ratio={total / classic!r}")
-    _say(args.out, f"in_memory_bits={total * 24 * 8} (plain) "
-                   f"{total * 40 * 8} (checksum) model_bits_per_cell={model_bits!r}")
+    _say(args.out, f"in_memory_bits={total * PLAIN_CELL_BYTES * 8} (plain) "
+                   f"{total * CHECKSUM_CELL_BYTES * 8} (checksum) model_bits_per_cell={model_bits!r}")
     return 0 if total <= bound else 1
 
 

@@ -3,11 +3,16 @@
 Every item touches each row exactly once, at the bucket its row hash
 assigns. A cell accumulates the key sum and value sum in Z_(2^64)
 (wrapping uint64), a signed item count, and, in checksum mode, the sum of
-power-hash values in Z_q. All mutations are batch-oriented: one numpy
-scatter-add per field per call.
+power-hash values in Z_q.
 
 Keys live in [0, 2^61-1); checksum mode further requires key < p.
 Values are arbitrary uint64.
+
+Mutation has one path, shared with StackedSketch: the `Mutations`
+adapters (insert, insert_arrays, delete, delete_pairs) validate each
+batch once in `_update`, then hand (keys, values, weights) arrays
+to the class's trusted `_apply`, one numpy scatter-add per field. The
+decoder calls `_apply` directly; extraction only yields in-domain keys.
 """
 
 from __future__ import annotations
@@ -20,7 +25,61 @@ PLAIN_CELL_BYTES = 24       # key_sum + value_sum + count
 CHECKSUM_CELL_BYTES = 40    # + 128-bit hash_sum
 
 
-class BasicTable:
+def key_bound(checksum: PowerHash | None) -> int:
+    """Keys must lie in [0, key_bound): 2^61-1, and p in checksum mode."""
+    return MERSENNE61 if checksum is None else min(checksum.key_bound, MERSENNE61)
+
+
+class Mutations:
+    """Insert/delete adapters over a trusted `_apply(keys, values, weights)`.
+
+    A weight w in {+1,-1} adds w times the pair; `_update` validates.
+    """
+
+    __slots__ = ()
+
+    def insert(self, pairs) -> None:
+        self._update(*_pairs_to_arrays(pairs), 1)
+
+    def insert_arrays(self, keys, values) -> None:
+        self._update(keys, values, 1)
+
+    def delete(self, signed_pairs) -> None:
+        """Remove sign-weighted contributions; pairs are (sign, key, value)."""
+        items = list(signed_pairs)
+        keys, values = _pairs_to_arrays((k, v) for _, k, v in items)
+        signs = np.array([s for s, _, _ in items], dtype=np.int64)
+        self._update(keys, values, -signs)
+
+    def delete_pairs(self, pairs) -> None:
+        """Unsigned delete: every pair removed with sign +1."""
+        self._update(*_pairs_to_arrays(pairs), -1)
+
+    def _update(self, keys, values, weights) -> None:
+        """The one check of every public mutation, then `_apply`.
+
+        keys and values must be 1-D integer arrays of one length, every key
+        below `key_bound`; weights (one per key, or a scalar) must be +-1.
+        Raises ValueError otherwise.
+        """
+        keys, values = np.asarray(keys), np.asarray(values)
+        if keys.ndim != 1 or values.shape != keys.shape:
+            raise ValueError("keys and values must be 1-D arrays of equal length")
+        if keys.size == 0:
+            return
+        if not (keys.dtype.kind in "iu" and values.dtype.kind in "iu"):
+            raise ValueError("keys and values must be integer arrays")
+        weights = np.broadcast_to(np.asarray(weights, dtype=np.int64), keys.shape)
+        if not (np.abs(weights) == 1).all():
+            raise ValueError("signs must be +1 or -1")
+        keys = np.ascontiguousarray(keys, dtype=np.uint64)
+        bound = key_bound(self.checksum)
+        if int(keys.max()) >= bound:
+            raise ValueError(f"key out of domain [0, {bound})")
+        self._apply(keys, np.ascontiguousarray(values, dtype=np.uint64), weights)
+
+
+class BasicTable(Mutations):
     """Grid of cells with one hash per row; plain or checksum mode."""
 
     __slots__ = ("rows", "cols", "hashes", "checksum",
@@ -62,36 +121,9 @@ class BasicTable:
 
     # -- mutation ---------------------------------------------------------
 
-    def insert(self, pairs) -> None:
-        keys, values = _pairs_to_arrays(pairs)
-        self.insert_arrays(keys, values)
-
-    def insert_arrays(self, keys: np.ndarray, values: np.ndarray) -> None:
-        self._apply(keys, values, np.ones(keys.shape, dtype=np.int64))
-
-    def delete(self, signed_pairs) -> None:
-        """Remove sign-weighted contributions; pairs are (sign, key, value)."""
-        signs, keys, values = _signed_to_arrays(signed_pairs)
-        self.delete_arrays(signs, keys, values)
-
-    def delete_pairs(self, pairs) -> None:
-        """Unsigned delete: every pair removed with sign +1."""
-        keys, values = _pairs_to_arrays(pairs)
-        self._apply(keys, values, np.full(keys.shape, -1, dtype=np.int64))
-
-    def delete_arrays(self, signs: np.ndarray, keys: np.ndarray, values: np.ndarray) -> None:
-        self._apply(keys, values, -np.asarray(signs, dtype=np.int64))
-
     def _apply(self, keys, values, weights, gvals=None) -> None:
-        # weights w in {+1,-1}: each pair contributes (w*k, w*v, w, w*g(k)).
-        keys = np.ascontiguousarray(keys, dtype=np.uint64)
-        values = np.ascontiguousarray(values, dtype=np.uint64)
-        if keys.size == 0:
-            return
-        if int(keys.max()) >= MERSENNE61:
-            raise ValueError("key out of domain [0, 2^61-1)")
-        if self.checksum is not None and int(keys.max()) >= self.checksum.key_bound:
-            raise ValueError("checksum mode requires key < p")
+        # Trusted: uint64 keys in the domain, uint64 values, int64 weights
+        # w in {+1,-1}; each pair contributes (w*k, w*v, w, w*g(k)).
         buckets = self.bucket_rows(keys)
         offs = (np.arange(self.rows, dtype=np.uint64) * np.uint64(self.cols))[:, None]
         flat = buckets + offs
@@ -112,35 +144,33 @@ class BasicTable:
     # -- queries ----------------------------------------------------------
 
     def list_entries(self, g_cache: dict | None = None):
-        """Best-effort singleton extraction.
+        """Best-effort singleton extraction; returns sets (plus, minus).
 
-        Plain mode returns a set of (key, value) taken from count==1 cells.
-        Checksum mode returns (plus, minus): cells with count +-1 whose
-        hash sum matches the power hash of the (sign-corrected) key sum,
-        negation meaning the group inverse in Z_(2^64) and Z_q.
+        Plain mode takes (key, value) from count==1 cells and leaves minus
+        empty. Checksum mode takes cells with count +-1 whose hash sum
+        matches the power hash of the (sign-corrected) key sum, negation
+        meaning the group inverse in Z_(2^64) and Z_q; minus holds the
+        count -1 side. Keys outside the domain are never returned.
+        g_cache memoizes the power hash of every key it checks.
         """
+        g = self.checksum
         cnt = self.count.reshape(-1)
-        if self.checksum is None:
-            idx = np.nonzero(cnt == 1)[0]
-            ks = self.key_sum.reshape(-1)[idx]
-            vs = self.value_sum.reshape(-1)[idx]
-            ok = ks < np.uint64(MERSENNE61)   # a multi-key residue can leave the domain
-            return {(int(k), int(v)) for k, v in zip(ks[ok], vs[ok])}
-        idx = np.nonzero(np.abs(cnt) == 1)[0]
+        idx = np.nonzero(cnt == 1 if g is None else np.abs(cnt) == 1)[0]
+        neg = cnt[idx] < 0
         ks = self.key_sum.reshape(-1)[idx]
         vs = self.value_sum.reshape(-1)[idx]
-        hs = self.hash_sum.reshape(-1)[idx]
-        neg = cnt[idx] < 0
         kk = np.where(neg, np.uint64(0) - ks, ks)
         vv = np.where(neg, np.uint64(0) - vs, vs)
-        g = self.checksum
+        ok = kk < np.uint64(key_bound(g))   # a multi-key residue can leave the domain
+        if g is None:
+            return {(int(k), int(v)) for k, v in zip(kk[ok], vv[ok])}, set()
+        idx, neg, kk, vv = idx[ok], neg[ok], kk[ok], vv[ok]
+        hs = self.hash_sum.reshape(-1)[idx]
         if g_cache is None:
             g_cache = {}
         plus, minus = set(), set()
         for j in range(idx.size):
             key = int(kk[j])
-            if key >= g.key_bound:
-                continue
             want = int(hs[j]) if not neg[j] else (g.modulus - int(hs[j])) % g.modulus
             got = g_cache.get(key)
             if got is None:
@@ -151,16 +181,6 @@ class BasicTable:
 
     def subtract(self, other: "BasicTable") -> "BasicTable":
         """Cell-wise difference; both tables must be built compatibly."""
-        self._check_compatible(other)
-        out = BasicTable(self.rows, self.cols, self.hashes, self.checksum)
-        out.key_sum = self.key_sum - other.key_sum
-        out.value_sum = self.value_sum - other.value_sum
-        out.count = self.count - other.count
-        if self.checksum is not None:
-            out.hash_sum = (self.hash_sum - other.hash_sum) % self.checksum.modulus
-        return out
-
-    def _check_compatible(self, other: "BasicTable") -> None:
         if not isinstance(other, BasicTable):
             raise TypeError("expected a BasicTable")
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -169,6 +189,13 @@ class BasicTable:
             raise ValueError("row hashes differ; tables were not built compatibly")
         if self.checksum != other.checksum:
             raise ValueError("checksum parameters differ")
+        out = BasicTable(self.rows, self.cols, self.hashes, self.checksum)
+        out.key_sum = self.key_sum - other.key_sum
+        out.value_sum = self.value_sum - other.value_sum
+        out.count = self.count - other.count
+        if self.checksum is not None:
+            out.hash_sum = (self.hash_sum - other.hash_sum) % self.checksum.modulus
+        return out
 
     def is_zero(self) -> bool:
         if self.key_sum.any() or self.value_sum.any() or self.count.any():
@@ -190,14 +217,11 @@ class BasicTable:
         if (self.rows, self.cols, self.hashes, self.checksum) != \
                 (other.rows, other.cols, other.hashes, other.checksum):
             return False
-        same = (np.array_equal(self.key_sum, other.key_sum)
+        # Equal checksums imply both hash_sum grids exist or neither does.
+        return (np.array_equal(self.key_sum, other.key_sum)
                 and np.array_equal(self.value_sum, other.value_sum)
-                and np.array_equal(self.count, other.count))
-        if not same:
-            return False
-        if self.hash_sum is None:
-            return other.hash_sum is None
-        return bool((self.hash_sum == other.hash_sum).all())
+                and np.array_equal(self.count, other.count)
+                and (self.hash_sum is None or bool((self.hash_sum == other.hash_sum).all())))
 
     def __repr__(self):
         return f"BasicTable({self.rows}x{self.cols}, mode={self.mode})"
@@ -205,21 +229,6 @@ class BasicTable:
 
 def _pairs_to_arrays(pairs):
     items = list(pairs)
-    if not items:
-        return np.empty(0, dtype=np.uint64), np.empty(0, dtype=np.uint64)
     keys = np.array([k for k, _ in items], dtype=np.uint64)
     values = np.array([v for _, v in items], dtype=np.uint64)
     return keys, values
-
-
-def _signed_to_arrays(signed_pairs):
-    items = list(signed_pairs)
-    if not items:
-        z = np.empty(0, dtype=np.uint64)
-        return np.empty(0, dtype=np.int64), z, z.copy()
-    signs = np.array([s for s, _, _ in items], dtype=np.int64)
-    if not np.isin(signs, (1, -1)).all():
-        raise ValueError("signs must be +1 or -1")
-    keys = np.array([k for _, k, _ in items], dtype=np.uint64)
-    values = np.array([v for _, _, v in items], dtype=np.uint64)
-    return signs, keys, values

@@ -89,10 +89,6 @@ def bucket_stream_id(table: int, row: int) -> int:
     return (_STREAM_BUCKET << 56) | (table << 28) | row
 
 
-def checksum_stream_id() -> int:
-    return _STREAM_CHECKSUM << 56
-
-
 class KWiseHash:
     """Seeded degree-(k-1) polynomial over Z_(2^61-1), reduced mod `gamma`.
 
@@ -105,13 +101,13 @@ class KWiseHash:
     def __init__(self, seed: int, k: int, gamma: int, stream_id: int = 0):
         if k < 1:
             raise ValueError("independence k must be >= 1")
-        if not 1 <= gamma < MERSENNE61:
-            raise ValueError("bucket range must satisfy 1 <= gamma < 2^61-1")
         stream = SeededStream(seed, stream_id)
         coeffs = [stream.below(MERSENNE61) for _ in range(k)]
         self._init_fields(coeffs, gamma)
 
     def _init_fields(self, coeffs: list[int], gamma: int) -> None:
+        if not 1 <= gamma < MERSENNE61:
+            raise ValueError("bucket range must satisfy 1 <= gamma < 2^61-1")
         self.independence = len(coeffs)
         self.gamma = gamma
         self.coefficients = tuple(coeffs)
@@ -125,8 +121,6 @@ class KWiseHash:
             raise ValueError("need at least one coefficient")
         if any(not 0 <= c < MERSENNE61 for c in coeffs):
             raise ValueError("coefficients must lie in [0, 2^61-1)")
-        if not 1 <= gamma < MERSENNE61:
-            raise ValueError("bucket range must satisfy 1 <= gamma < 2^61-1")
         obj = cls.__new__(cls)
         obj._init_fields(coeffs, gamma)
         return obj
@@ -140,10 +134,8 @@ class KWiseHash:
         keys = np.asarray(keys, dtype=np.uint64)
         if keys.size and int(keys.max()) >= MERSENNE61:
             raise ValueError("key out of hash domain [0, 2^61-1)")
-        acc = np.broadcast_to(self._coeffs_u64[-1], keys.shape).copy()
-        for c in self._coeffs_u64[-2::-1]:
-            acc = _addmod61(_mulmod61(acc, keys), c)
-        return acc % np.uint64(self.gamma)
+        rows = eval_poly_rows(self._coeffs_u64[None, :], keys.reshape(-1), self.gamma)
+        return rows.reshape(keys.shape)
 
     def __eq__(self, other) -> bool:
         return (
@@ -162,13 +154,11 @@ class KWiseHash:
 def eval_poly_rows(coeff_matrix: np.ndarray, keys: np.ndarray, gamma: int) -> np.ndarray:
     """Evaluate several polynomials over one key batch at once.
 
-    coeff_matrix is (rows, k) uint64, keys is (n,) uint64; returns (rows, n)
-    bucket indices. This is the hot path of table insertion: one Horner
-    sweep covers every row of a table.
+    coeff_matrix is (rows, k) uint64, keys is (n,) uint64 below 2^61-1;
+    returns (rows, n) bucket indices. This is the one Horner loop: a table
+    sweeps all its rows at once, and KWiseHash.eval_batch passes one row.
     """
-    acc = np.repeat(coeff_matrix[:, -1:], max(keys.size, 1), axis=1)[:, : keys.size]
-    if keys.size == 0:
-        return acc
+    acc = np.repeat(coeff_matrix[:, -1:], keys.size, axis=1)
     kb = keys[None, :]
     for j in range(coeff_matrix.shape[1] - 2, -1, -1):
         acc = _addmod61(_mulmod61(acc, kb), coeff_matrix[:, j : j + 1])
@@ -185,14 +175,14 @@ class PowerHash:
     __slots__ = ("base", "modulus", "key_bound")
 
     def __init__(self, seed: int, p: int, q: int, stream_id: int | None = None):
-        _check_power_params(p, q)
         if stream_id is None:
-            stream_id = checksum_stream_id()
+            stream_id = _STREAM_CHECKSUM << 56
         stream = SeededStream(seed, stream_id)
         base = 1 + stream.below(q - 1)
         self._init_fields(base, p, q)
 
     def _init_fields(self, base: int, p: int, q: int) -> None:
+        _check_power_params(p, q)
         self.base = base
         self.modulus = q
         self.key_bound = p
@@ -200,7 +190,6 @@ class PowerHash:
     @classmethod
     def with_base(cls, base: int, p: int, q: int) -> "PowerHash":
         """Build with an explicit base (exhaustive sweeps, fixed examples)."""
-        _check_power_params(p, q)
         if not 1 <= base <= q - 1:
             raise ValueError("base must lie in [1, q-1]")
         obj = cls.__new__(cls)

@@ -115,7 +115,8 @@ def deserialize(data: bytes) -> StackedSketch:
     sketch = StackedSketch(params)
     sketch.item_balance = balance
     offset = _HEADER.size
-    for tab in sketch.tables:
+    q_hi, q_lo = np.uint64(q >> 64), np.uint64(q & _MASK64)
+    for t, tab in enumerate(sketch.tables):
         cells = tab.rows * tab.cols
         rec = np.frombuffer(data, dtype=cell_dtype, count=cells, offset=offset)
         offset += cells * cell_dtype.itemsize
@@ -124,7 +125,10 @@ def deserialize(data: bytes) -> StackedSketch:
         tab.value_sum = rec["v"].reshape(shape).copy()
         tab.count = rec["c"].reshape(shape).astype(np.int64)
         if mode_byte:
-            hs = rec["h0"].astype(object) + (rec["h1"].astype(object) << 64)
+            h0, h1 = rec["h0"], rec["h1"]
+            if ((h1 > q_hi) | ((h1 == q_hi) & (h0 >= q_lo))).any():
+                raise EnvelopeError(f"table {t}: hash_sum not reduced mod q")
+            hs = h0.astype(object) + (h1.astype(object) << 64)
             tab.hash_sum = hs.reshape(shape)
     return sketch
 

@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (BasicTable, CHECKSUM_CELL_BYTES, PLAIN_CELL_BYTES,
-                   _pairs_to_arrays, _signed_to_arrays)
+from .core import (BasicTable, CHECKSUM_CELL_BYTES, Mutations, PLAIN_CELL_BYTES,
+                   _pairs_to_arrays)
 from .hashing import (MERSENNE61, KWiseHash, PowerHash, bucket_stream_id,
                       is_prime, next_prime_at_least)
 
@@ -208,7 +208,7 @@ class DecodeOutcome:
     stage_recoveries: tuple = ()
 
 
-class StackedSketch:
+class StackedSketch(Mutations):
     """Ordered stack of peelable tables driven by one master seed."""
 
     __slots__ = ("params", "layout", "tables", "item_balance", "_canonical")
@@ -238,34 +238,9 @@ class StackedSketch:
 
     # -- mutation ---------------------------------------------------------
 
-    def insert(self, pairs) -> None:
-        keys, values = _pairs_to_arrays(pairs)
-        self.insert_arrays(keys, values)
-
-    def insert_arrays(self, keys, values) -> None:
-        keys = np.ascontiguousarray(keys, dtype=np.uint64)
-        values = np.ascontiguousarray(values, dtype=np.uint64)
-        self._scatter(keys, values, np.ones(keys.shape, dtype=np.int64))
-
-    def delete(self, signed_pairs) -> None:
-        signs, keys, values = _signed_to_arrays(signed_pairs)
-        self.delete_arrays(signs, keys, values)
-
-    def delete_pairs(self, pairs) -> None:
-        keys, values = _pairs_to_arrays(pairs)
-        self._scatter(keys, values, np.full(keys.shape, -1, dtype=np.int64))
-
-    def delete_arrays(self, signs, keys, values) -> None:
-        keys = np.ascontiguousarray(keys, dtype=np.uint64)
-        values = np.ascontiguousarray(values, dtype=np.uint64)
-        self._scatter(keys, values, -np.asarray(signs, dtype=np.int64))
-
-    def _scatter(self, keys, values, weights, g_cache=None) -> None:
-        if keys.size == 0:
-            return
-        gvals = None
-        if self.params.mode == "checksum":
-            gvals = _gvals(self.checksum, keys, g_cache)
+    def _apply(self, keys, values, weights) -> None:
+        # Trusted, like BasicTable._apply; the power hash runs once for all tables.
+        gvals = None if self.checksum is None else self.checksum.eval_batch(keys)
         for tab in self.tables:
             tab._apply(keys, values, weights, gvals)
         self.item_balance += int(weights.sum())
@@ -280,67 +255,38 @@ class StackedSketch:
             raise ValueError("sketch params differ; subtraction undefined")
         if not (self._canonical and other._canonical):
             raise ValueError("cannot subtract sketches built with injected hashes")
-        out = StackedSketch.__new__(StackedSketch)
-        out.params = self.params
-        out.layout = self.layout
-        out.tables = [a.subtract(b) for a, b in zip(self.tables, other.tables)]
-        out.item_balance = self.item_balance - other.item_balance
-        out._canonical = True
-        return out
+        return self._derive([a.subtract(b) for a, b in zip(self.tables, other.tables)],
+                            self.item_balance - other.item_balance)
 
     def list_entries(self, in_place: bool = False) -> DecodeOutcome:
         """Staged peel over the tables, then verification by cancellation.
 
-        With in_place=True the sketch itself is consumed: afterwards it
-        holds the residual (all-zero exactly when decoding was complete).
+        Table i first drops every pair earlier stages recovered, then
+        yields the (plus, minus) sets of its own extraction; pairs new to
+        the output form stage i. Verification drops stages i onward from
+        table i, so each table ends as original-minus-everything, and the
+        decode is complete when all of them are zero. With in_place=True
+        the sketch itself is consumed: afterwards it holds that residual.
         """
-        checksum = self.params.mode == "checksum"
-        g_cache: dict | None = {} if checksum else None
+        g_cache: dict | None = {} if self.checksum is not None else None
         plus: dict[int, int] = {}
         minus: dict[int, int] = {}
         inconsistent = False
         stage_new: list[tuple[tuple, tuple]] = []
+        stages: list[tuple] = []   # per stage: (keys, values, signs, gvals) arrays
         working: list[BasicTable] = []
-        cum: list[tuple[int, int, int]] = []   # (sign, key, value) recovered so far
         for tab in self.tables:
             wt = tab if in_place else tab.copy()
             working.append(wt)
-            _delete_signed(wt, cum, g_cache)
-            if checksum:
-                new_p, new_m = wt.list_entries(g_cache)
-            else:
-                new_p, new_m = wt.list_entries(), set()
-            added_p, added_m = [], []
-            for k, v in sorted(new_p):
-                if k in plus:
-                    if plus[k] != v:
-                        inconsistent = True
-                    continue
-                if minus.get(k) == v:
-                    inconsistent = True
-                    continue
-                plus[k] = v
-                added_p.append((k, v))
-                cum.append((1, k, v))
-            for k, v in sorted(new_m):
-                if k in minus:
-                    if minus[k] != v:
-                        inconsistent = True
-                    continue
-                if plus.get(k) == v:
-                    inconsistent = True
-                    continue
-                minus[k] = v
-                added_m.append((k, v))
-                cum.append((-1, k, v))
+            _remove(wt, stages)
+            new_p, new_m = wt.list_entries(g_cache)
+            added_p, clash_p = _admit(new_p, plus, minus)
+            added_m, clash_m = _admit(new_m, minus, plus)
+            inconsistent |= clash_p or clash_m
             stage_new.append((tuple(added_p), tuple(added_m)))
-        # Cancellation check: table i has stages < i removed already, so
-        # removing the remaining suffix leaves original-minus-everything.
-        suffix: list[tuple[int, int, int]] = []
-        for i in range(len(working) - 1, -1, -1):
-            suffix.extend((1, k, v) for k, v in stage_new[i][0])
-            suffix.extend((-1, k, v) for k, v in stage_new[i][1])
-            _delete_signed(working[i], suffix, g_cache)
+            stages.append(_stage_arrays(added_p, added_m, g_cache))
+        for i, wt in enumerate(working):
+            _remove(wt, stages[i:])
         complete = all(wt.is_zero() for wt in working)
         return DecodeOutcome(
             recovered_plus=set(plus.items()),
@@ -361,12 +307,13 @@ class StackedSketch:
         return self.cell_count() * width * 8
 
     def copy(self) -> "StackedSketch":
+        return self._derive([t.copy() for t in self.tables], self.item_balance)
+
+    def _derive(self, tables: list, item_balance: int) -> "StackedSketch":
+        # A sketch with these params and hashes but the given cell state.
         out = StackedSketch.__new__(StackedSketch)
-        out.params = self.params
-        out.layout = self.layout
-        out.tables = [t.copy() for t in self.tables]
-        out.item_balance = self.item_balance
-        out._canonical = self._canonical
+        out.params, out.layout, out._canonical = self.params, self.layout, self._canonical
+        out.tables, out.item_balance = tables, item_balance
         return out
 
     def __eq__(self, other) -> bool:
@@ -381,25 +328,35 @@ class StackedSketch:
                 f"mode={self.params.mode}, tables={len(self.tables)})")
 
 
-def _gvals(power: PowerHash, keys: np.ndarray, cache: dict | None) -> np.ndarray:
-    if cache is None:
-        return power.eval_batch(keys)
-    out = np.empty(keys.shape, dtype=object)
-    for i, k in enumerate(keys.tolist()):
-        v = cache.get(k)
-        if v is None:
-            v = cache[k] = power.eval(k)
-        out[i] = v
-    return out
+def _admit(found: set, side: dict, other: dict) -> tuple[list, bool]:
+    """Add new pairs to `side`; returns (added, contradiction seen).
+
+    A key on `side` with another value, or the pair on `other`, contradicts.
+    """
+    added, clash = [], False
+    for k, v in sorted(found):
+        if k in side:
+            clash |= side[k] != v
+        elif other.get(k) == v:
+            clash = True
+        else:
+            side[k] = v
+            added.append((k, v))
+    return added, clash
 
 
-def _delete_signed(table: BasicTable, triples: list, g_cache: dict | None) -> None:
-    if not triples:
+def _stage_arrays(added_p: list, added_m: list, g_cache: dict | None) -> tuple:
+    pairs = added_p + added_m
+    keys, values = _pairs_to_arrays(pairs)
+    signs = np.repeat(np.array([1, -1], dtype=np.int64), (len(added_p), len(added_m)))
+    gvals = None if g_cache is None else np.array([g_cache[k] for k, _ in pairs], dtype=object)
+    return keys, values, signs, gvals
+
+
+def _remove(table: BasicTable, stages: list) -> None:
+    """Drop every pair of `stages` from `table` (extraction keeps keys in domain)."""
+    if not any(s[0].size for s in stages):
         return
-    signs = np.array([s for s, _, _ in triples], dtype=np.int64)
-    keys = np.array([k for _, k, _ in triples], dtype=np.uint64)
-    values = np.array([v for _, _, v in triples], dtype=np.uint64)
-    gvals = None
-    if table.checksum is not None:
-        gvals = _gvals(table.checksum, keys, g_cache)
+    keys, values, signs = (np.concatenate([s[j] for s in stages]) for j in range(3))
+    gvals = None if table.checksum is None else np.concatenate([s[3] for s in stages])
     table._apply(keys, values, -signs, gvals)

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from stacked_iblt.core import BasicTable
 from stacked_iblt.hashing import KWiseHash, PowerHash
+from stacked_iblt.stacked import Params, StackedSketch
 
 U64 = 1 << 64
 
@@ -112,6 +113,22 @@ def test_bad_sign_rejected():
         t.delete([(2, 5, 7)])
 
 
+@pytest.mark.parametrize("make", [fresh, lambda: StackedSketch(Params(n=8, delta=0.25))],
+                         ids=["BasicTable", "StackedSketch"])
+def test_malformed_batch_rejected(make):
+    t = make()
+    keys = np.array([1, 2, 3], dtype=np.uint64)
+    with pytest.raises(ValueError, match="integer"):
+        t.insert_arrays(np.array([1.7, 2.2]), keys[:2])
+    with pytest.raises(ValueError, match="equal length"):
+        t.insert_arrays(keys, np.array([9], dtype=np.uint64))
+    with pytest.raises(ValueError, match="equal length"):
+        t.insert_arrays(keys.reshape(1, 3), keys.reshape(1, 3))
+    with pytest.raises(ValueError, match="signs"):
+        t.delete([(1, 5, 7), (2, 6, 8)])
+    assert t.is_zero()
+
+
 def test_checksum_key_domain_enforced():
     t = fresh(checksum=PowerHash(0, 5, 11))
     with pytest.raises(ValueError):
@@ -124,14 +141,14 @@ def test_checksum_key_domain_enforced():
 def test_singleton_extraction():
     t = fresh(1, 8)
     t.insert({(5, 7)})
-    assert t.list_entries() == {(5, 7)}
+    assert t.list_entries() == ({(5, 7)}, set())
 
 
 def test_count_two_cell_contributes_nothing():
     h = KWiseHash.from_coefficients([1], 4)
     t = BasicTable(1, 4, [h])
     t.insert([(5, 7), (9, 2)])
-    assert t.list_entries() == set()
+    assert t.list_entries() == (set(), set())
 
 
 def test_checksum_extraction_splits_signs():
@@ -169,7 +186,7 @@ def test_extraction_skips_out_of_domain_keysum():
     t = BasicTable(1, 4, [h])
     t.key_sum[0, 0] = 2**63       # no genuine key reaches this residue
     t.count[0, 0] = 1
-    assert t.list_entries() == set()
+    assert t.list_entries() == (set(), set())
 
 
 # -- subtraction ---------------------------------------------------------------

@@ -107,6 +107,21 @@ def test_non_finite_delta_rejected():
         deserialize(bytes(blob))
 
 
+def test_non_canonical_hash_sum_rejected():
+    # hash_sum == q is congruent to 0 but not reduced: an empty sketch
+    # carrying it would decode as incomplete, so the envelope is refused.
+    layout = plan_layout(CHECK)
+    last_h = len(serialize(StackedSketch(CHECK))) - 16
+    for value, ok in ((CHECK.q - 1, True), (CHECK.q, False), ((1 << 128) - 1, False)):
+        blob = bytearray(serialize(StackedSketch(CHECK)))
+        blob[last_h:] = value.to_bytes(16, "little")
+        if ok:
+            assert deserialize(bytes(blob)).tables[-1].hash_sum[-1, -1] == value
+            continue
+        with pytest.raises(EnvelopeError, match=f"table {len(layout.tables) - 1}"):
+            deserialize(bytes(blob))
+
+
 def test_digest_covers_layout():
     assert layout_digest(plan_layout(PLAIN)) != layout_digest(
         plan_layout(Params(n=64, delta=2.0**-6)))
