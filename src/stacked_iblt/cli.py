@@ -20,7 +20,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .core import CHECKSUM_CELL_BYTES, PLAIN_CELL_BYTES
+from .core import CHECKSUM_CELL_BYTES, PLAIN_CELL_BYTES, key_bound
 from .hashing import KWiseHash, SeededStream, bad_base_count, is_identity_multiset
 from .reconcile import reconcile_local, serialize, sketch_of
 from .stacked import DEFAULT_BIG_C, DEFAULT_C0, Params, StackedSketch, plan_layout
@@ -150,7 +150,7 @@ def cmd_decode_failure(args) -> int:
         master = SeededStream(args.seed, _SEED_STREAM | trial).below(1 << 64)
         sketch = StackedSketch(_build_params(args, master))
         rng = _trial_rng(args.seed, trial, salt=1)
-        bound = sketch.checksum.key_bound if sketch.checksum else (1 << 61) - 1
+        bound = key_bound(sketch.checksum)
         keys = _distinct_keys(rng, load, bound)
         values = rng.integers(0, 1 << 64, size=load, dtype=np.uint64)
         sketch.insert_arrays(keys, values)

@@ -10,12 +10,17 @@ Values are arbitrary uint64.
 
 Mutation has one path, shared with StackedSketch: the `Mutations`
 adapters (insert, insert_arrays, delete, delete_pairs) validate each
-batch once in `_update`, then hand (keys, values, weights) arrays
-to the class's trusted `_apply`, one numpy scatter-add per field. The
-decoder calls `_apply` directly; extraction only yields in-domain keys.
+batch once in `_update`, hash it once with the class's `_flat_cells`,
+and hand the flat cell indices with the (keys, values, weights) arrays to
+its trusted `_apply`, one numpy scatter-add per field. A stacked sketch
+hashes a batch for all its tables in one kernel call and passes each
+table its rows of the indices; the decoder calls `_apply` directly with
+indices it computed once per stage (extraction only yields in-domain keys).
 """
 
 from __future__ import annotations
+
+import operator
 
 import numpy as np
 
@@ -31,9 +36,10 @@ def key_bound(checksum: PowerHash | None) -> int:
 
 
 class Mutations:
-    """Insert/delete adapters over a trusted `_apply(keys, values, weights)`.
+    """Insert/delete adapters over a trusted `_apply(flat, keys, values, weights)`.
 
-    A weight w in {+1,-1} adds w times the pair; `_update` validates.
+    A weight w in {+1,-1} adds w times the pair; `_update` validates, and
+    `_flat_cells` hashes the keys to the flat cell indices `_apply` scatters to.
     """
 
     __slots__ = ()
@@ -48,8 +54,7 @@ class Mutations:
         """Remove sign-weighted contributions; pairs are (sign, key, value)."""
         items = list(signed_pairs)
         keys, values = _pairs_to_arrays((k, v) for _, k, v in items)
-        signs = np.array([s for s, _, _ in items], dtype=np.int64)
-        self._update(keys, values, -signs)
+        self._update(keys, values, -np.array([s for s, _, _ in items]))
 
     def delete_pairs(self, pairs) -> None:
         """Unsigned delete: every pair removed with sign +1."""
@@ -59,8 +64,8 @@ class Mutations:
         """The one check of every public mutation, then `_apply`.
 
         keys and values must be 1-D integer arrays of one length, every key
-        below `key_bound`; weights (one per key, or a scalar) must be +-1.
-        Raises ValueError otherwise.
+        below `key_bound`; weights (one per key, or a scalar) must be integer
+        +-1. Raises ValueError otherwise.
         """
         keys, values = np.asarray(keys), np.asarray(values)
         if keys.ndim != 1 or values.shape != keys.shape:
@@ -69,14 +74,16 @@ class Mutations:
             return
         if not (keys.dtype.kind in "iu" and values.dtype.kind in "iu"):
             raise ValueError("keys and values must be integer arrays")
-        weights = np.broadcast_to(np.asarray(weights, dtype=np.int64), keys.shape)
-        if not (np.abs(weights) == 1).all():
+        weights = np.asarray(weights)
+        if weights.dtype.kind not in "iu" or not (np.abs(weights) == 1).all():
             raise ValueError("signs must be +1 or -1")
+        weights = np.broadcast_to(weights.astype(np.int64), keys.shape)
         keys = np.ascontiguousarray(keys, dtype=np.uint64)
         bound = key_bound(self.checksum)
         if int(keys.max()) >= bound:
             raise ValueError(f"key out of domain [0, {bound})")
-        self._apply(keys, np.ascontiguousarray(values, dtype=np.uint64), weights)
+        self._apply(self._flat_cells(keys), keys,
+                    np.ascontiguousarray(values, dtype=np.uint64), weights)
 
 
 class BasicTable(Mutations):
@@ -119,14 +126,17 @@ class BasicTable(Mutations):
             return eval_poly_rows(self._coeff_matrix, keys, self.cols)
         return np.stack([np.asarray(h.eval_batch(keys), dtype=np.uint64) for h in self.hashes])
 
+    def _flat_cells(self, keys: np.ndarray) -> np.ndarray:
+        """(rows, n) indices into the flattened grid: bucket + row * cols."""
+        offs = np.arange(self.rows, dtype=np.uint64) * np.uint64(self.cols)
+        return self.bucket_rows(keys) + offs[:, None]
+
     # -- mutation ---------------------------------------------------------
 
-    def _apply(self, keys, values, weights, gvals=None) -> None:
-        # Trusted: uint64 keys in the domain, uint64 values, int64 weights
+    def _apply(self, flat, keys, values, weights, gvals=None) -> None:
+        # Trusted scatter: flat holds the (rows, n) cell indices of the
+        # uint64 keys (in the domain), values are uint64 and weights int64
         # w in {+1,-1}; each pair contributes (w*k, w*v, w, w*g(k)).
-        buckets = self.bucket_rows(keys)
-        offs = (np.arange(self.rows, dtype=np.uint64) * np.uint64(self.cols))[:, None]
-        flat = buckets + offs
         neg = weights < 0
         kd = np.where(neg, np.uint64(0) - keys, keys)
         vd = np.where(neg, np.uint64(0) - values, values)
@@ -229,6 +239,14 @@ class BasicTable(Mutations):
 
 def _pairs_to_arrays(pairs):
     items = list(pairs)
-    keys = np.array([k for k, _ in items], dtype=np.uint64)
-    values = np.array([v for _, v in items], dtype=np.uint64)
-    return keys, values
+    return _int_column([k for k, _ in items]), _int_column([v for _, v in items])
+
+
+def _int_column(xs: list) -> np.ndarray:
+    # Integers become exact uint64. Anything else (a float, a negative or an
+    # oversized int) leaves an object array for `_update` to reject, where a
+    # forced uint64 cast would truncate 1.7 to 1.
+    try:
+        return np.array([operator.index(x) for x in xs], dtype=np.uint64)
+    except (TypeError, OverflowError):
+        return np.array(xs, dtype=object)

@@ -8,6 +8,14 @@ table once, in order: remove everything recovered so far, extract the
 cells that hold exactly one remaining pair, move on. Success is verified
 by cancellation: deleting the full recovered output from every table must
 leave all-zero grids.
+
+Hashing is stacked: at construction the sketch stacks every table's row
+polynomials into one (R, k) coefficient matrix, beside a per-row bucket
+range and in-table row offset, so one `eval_poly_rows` call gives the flat
+cell indices of a batch in every table. A mutation hashes its batch once
+and each table scatters its own rows of the indices; the decoder hashes
+each stage's recovered keys once, when the stage closes, and both the peel
+and the verification removals reuse those indices.
 """
 
 from __future__ import annotations
@@ -21,7 +29,7 @@ import numpy as np
 from .core import (BasicTable, CHECKSUM_CELL_BYTES, Mutations, PLAIN_CELL_BYTES,
                    _pairs_to_arrays)
 from .hashing import (MERSENNE61, KWiseHash, PowerHash, bucket_stream_id,
-                      is_prime, next_prime_at_least)
+                      eval_poly_rows, is_prime, next_prime_at_least)
 
 DEFAULT_BIG_C = 8 * math.e
 DEFAULT_C0 = 4.0
@@ -211,7 +219,7 @@ class DecodeOutcome:
 class StackedSketch(Mutations):
     """Ordered stack of peelable tables driven by one master seed."""
 
-    __slots__ = ("params", "layout", "tables", "item_balance", "_canonical")
+    __slots__ = ("params", "layout", "tables", "item_balance", "_canonical", "_stack")
 
     def __init__(self, params: Params, _row_hash_factory=None):
         self.params = params
@@ -231,6 +239,17 @@ class StackedSketch(Mutations):
             hashes = [_row_hash_factory(t, r, cols) for r in range(rows)]
             self.tables.append(BasicTable(rows, cols, hashes, power))
         self.item_balance = 0
+        # Seed-derived rows share one k: stack them for the one-call kernel,
+        # as (coefficients, per-row bucket range, per-row offset r * cols).
+        self._stack = None
+        if self._canonical:
+            dims = self.layout.tables
+            self._stack = (
+                np.concatenate([t._coeff_matrix for t in self.tables]),
+                np.concatenate([np.full(r, c, dtype=np.uint64) for r, c in dims])[:, None],
+                np.concatenate([np.arange(r, dtype=np.uint64) * np.uint64(c)
+                                for r, c in dims])[:, None],
+            )
 
     @property
     def checksum(self) -> PowerHash | None:
@@ -238,11 +257,33 @@ class StackedSketch(Mutations):
 
     # -- mutation ---------------------------------------------------------
 
-    def _apply(self, keys, values, weights) -> None:
+    def _flat_cells(self, keys: np.ndarray) -> np.ndarray:
+        """(R, n) in-table flat cell indices of keys for every row of every table.
+
+        Table i owns the rows `self._row_slices()[i]`. Seed-derived sketches
+        evaluate the stacked rows in one kernel call; injected row hashes
+        fall back to each table's own `bucket_rows`.
+        """
+        if self._stack is None:
+            return np.concatenate([t._flat_cells(keys) for t in self.tables])
+        coeffs, gamma, offsets = self._stack
+        flat = eval_poly_rows(coeffs, keys, gamma)
+        flat += offsets
+        return flat
+
+    def _row_slices(self) -> list[slice]:
+        # Table i's rows within the stacked (R, n) index array.
+        out, start = [], 0
+        for rows, _ in self.layout.tables:
+            out.append(slice(start, start + rows))
+            start += rows
+        return out
+
+    def _apply(self, flat, keys, values, weights) -> None:
         # Trusted, like BasicTable._apply; the power hash runs once for all tables.
         gvals = None if self.checksum is None else self.checksum.eval_batch(keys)
-        for tab in self.tables:
-            tab._apply(keys, values, weights, gvals)
+        for tab, rows in zip(self.tables, self._row_slices()):
+            tab._apply(flat[rows], keys, values, weights, gvals)
         self.item_balance += int(weights.sum())
 
     # -- queries ----------------------------------------------------------
@@ -265,28 +306,32 @@ class StackedSketch(Mutations):
         yields the (plus, minus) sets of its own extraction; pairs new to
         the output form stage i. Verification drops stages i onward from
         table i, so each table ends as original-minus-everything, and the
-        decode is complete when all of them are zero. With in_place=True
-        the sketch itself is consumed: afterwards it holds that residual.
+        decode is complete when all of them are zero. A stage's keys are
+        hashed once, for every table, when the stage closes; both removals
+        scatter table i's rows of those indices. With in_place=True the
+        sketch itself is consumed: afterwards it holds that residual.
         """
         g_cache: dict | None = {} if self.checksum is not None else None
         plus: dict[int, int] = {}
         minus: dict[int, int] = {}
         inconsistent = False
         stage_new: list[tuple[tuple, tuple]] = []
-        stages: list[tuple] = []   # per stage: (keys, values, signs, gvals) arrays
+        stages: list[tuple] = []   # per stage: (keys, values, signs, gvals, flat) arrays
         working: list[BasicTable] = []
-        for tab in self.tables:
+        row_slices = self._row_slices()
+        for tab, rows in zip(self.tables, row_slices):
             wt = tab if in_place else tab.copy()
             working.append(wt)
-            _remove(wt, stages)
+            _remove(wt, rows, stages)
             new_p, new_m = wt.list_entries(g_cache)
             added_p, clash_p = _admit(new_p, plus, minus)
             added_m, clash_m = _admit(new_m, minus, plus)
             inconsistent |= clash_p or clash_m
             stage_new.append((tuple(added_p), tuple(added_m)))
-            stages.append(_stage_arrays(added_p, added_m, g_cache))
-        for i, wt in enumerate(working):
-            _remove(wt, stages[i:])
+            stage = _stage_arrays(added_p, added_m, g_cache)
+            stages.append((*stage, self._flat_cells(stage[0])))
+        for i, (wt, rows) in enumerate(zip(working, row_slices)):
+            _remove(wt, rows, stages[i:])
         complete = all(wt.is_zero() for wt in working)
         return DecodeOutcome(
             recovered_plus=set(plus.items()),
@@ -313,7 +358,7 @@ class StackedSketch(Mutations):
         # A sketch with these params and hashes but the given cell state.
         out = StackedSketch.__new__(StackedSketch)
         out.params, out.layout, out._canonical = self.params, self.layout, self._canonical
-        out.tables, out.item_balance = tables, item_balance
+        out._stack, out.tables, out.item_balance = self._stack, tables, item_balance
         return out
 
     def __eq__(self, other) -> bool:
@@ -346,6 +391,7 @@ def _admit(found: set, side: dict, other: dict) -> tuple[list, bool]:
 
 
 def _stage_arrays(added_p: list, added_m: list, g_cache: dict | None) -> tuple:
+    # Recovered keys and values are ints below 2^64: uint64 columns, empty ones too.
     pairs = added_p + added_m
     keys, values = _pairs_to_arrays(pairs)
     signs = np.repeat(np.array([1, -1], dtype=np.int64), (len(added_p), len(added_m)))
@@ -353,10 +399,14 @@ def _stage_arrays(added_p: list, added_m: list, g_cache: dict | None) -> tuple:
     return keys, values, signs, gvals
 
 
-def _remove(table: BasicTable, stages: list) -> None:
-    """Drop every pair of `stages` from `table` (extraction keeps keys in domain)."""
+def _remove(table: BasicTable, rows: slice, stages: list) -> None:
+    """Drop every pair of `stages` from `table`, which owns `rows` of their indices.
+
+    Extraction keeps keys in the domain, so the scatter is trusted.
+    """
     if not any(s[0].size for s in stages):
         return
     keys, values, signs = (np.concatenate([s[j] for s in stages]) for j in range(3))
     gvals = None if table.checksum is None else np.concatenate([s[3] for s in stages])
-    table._apply(keys, values, -signs, gvals)
+    flat = np.concatenate([s[4][rows] for s in stages], axis=1)
+    table._apply(flat, keys, values, -signs, gvals)

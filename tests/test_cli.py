@@ -108,6 +108,17 @@ def test_decode_failure_overload_exits_zero_without_bound(tmp_path):
     assert fails == 8
 
 
+def test_decode_failure_checksum_p_above_hash_domain(tmp_path):
+    # With p > 2^61-1 the trial keys must still come from the sketch's own
+    # key domain, min(p, 2^61-1).
+    code, blob = run_cli(["decode-failure", "--n", "16", "--delta", "2^-4",
+                          "--mode", "checksum", "--p", "4611686018427388039",
+                          "--trials", "2"], tmp_path)
+    assert code == 0
+    rows = blob.decode().splitlines()[2:]
+    assert rows == ["0,16,1", "1,16,1"]
+
+
 def test_space_command_matches_layout(tmp_path):
     code, blob = run_cli(["space", "--n", "1024", "--delta", "2^-10"], tmp_path)
     assert code == 0

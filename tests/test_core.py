@@ -126,7 +126,21 @@ def test_malformed_batch_rejected(make):
         t.insert_arrays(keys.reshape(1, 3), keys.reshape(1, 3))
     with pytest.raises(ValueError, match="signs"):
         t.delete([(1, 5, 7), (2, 6, 8)])
+    # Pair paths must not truncate: a float key or sign is refused as given.
+    with pytest.raises(ValueError, match="integer"):
+        t.insert([(1.7, 2)])
+    with pytest.raises(ValueError, match="integer"):
+        t.delete_pairs([(3, 4), (5, 6.5)])
+    with pytest.raises(ValueError, match="signs"):
+        t.delete([(1.5, 3, 4)])
     assert t.is_zero()
+
+
+def test_pair_path_keeps_full_width_values():
+    # Mixed small and >= 2^63 ints must stay exact uint64, not become floats.
+    t = fresh(1, 64)
+    t.insert([(1, 2**63 + 5), (2, 3)])
+    assert t.list_entries()[0] == {(1, 2**63 + 5), (2, 3)}
 
 
 def test_checksum_key_domain_enforced():

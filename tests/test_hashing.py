@@ -85,6 +85,28 @@ def test_eval_poly_rows_matches_oracle():
         assert got[r].tolist() == want
 
 
+@pytest.mark.parametrize("n", [1, 255, 256, 257, 700])
+def test_eval_poly_rows_blocks_extremes_and_gamma_column(n):
+    # Batches around the key block size, all-maximal coefficients and keys
+    # (the lazy reduction's worst case) beside random ones, and a per-row
+    # bucket range column.
+    top = MERSENNE61 - 1                       # 2^61-2, the largest field element
+    rng = np.random.default_rng(n)
+    cm = rng.integers(0, MERSENNE61, size=(4, 12), dtype=np.uint64)
+    cm[0] = top
+    cm[1, ::2] = top
+    keys = rng.integers(0, MERSENNE61, size=n, dtype=np.uint64)
+    keys[::3] = top
+    gamma = np.array([[1], [97], [2**40 + 15], [MERSENNE61 - 1]], dtype=np.uint64)
+    got = eval_poly_rows(cm, keys, gamma)
+    assert got.shape == (4, n)
+    for r in range(4):
+        coeffs = cm[r].tolist()
+        want = [horner_oracle(coeffs, x, MERSENNE61) % int(gamma[r, 0])
+                for x in keys.tolist()]
+        assert got[r].tolist() == want
+
+
 def test_eval_rejects_out_of_domain_key():
     h = KWiseHash(0, 2, 8)
     with pytest.raises(ValueError):

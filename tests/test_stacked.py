@@ -203,6 +203,17 @@ def test_insert_touches_each_row_once():
     assert s.item_balance == 1
 
 
+def test_stacked_cells_match_per_table_bucket_rows():
+    # One stacked kernel call must place every key where each table's own
+    # bucket_rows does; the per-table path is the reference.
+    s = StackedSketch(Params(n=256, delta=2.0**-10, master_seed=11))
+    keys = np.random.default_rng(11).integers(0, 2**61 - 1, size=600, dtype=np.uint64)
+    want = np.concatenate([
+        t.bucket_rows(keys) + (np.arange(t.rows, dtype=np.uint64) * np.uint64(t.cols))[:, None]
+        for t in s.tables])
+    assert np.array_equal(s._flat_cells(keys), want)
+
+
 def test_insert_delete_roundtrip_zero():
     s = StackedSketch(Params(n=16, delta=2.0**-4, master_seed=3))
     pairs = [(i, i * i) for i in range(10)]
