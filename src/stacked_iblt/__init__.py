@@ -9,8 +9,7 @@ independence polynomial hashing.
 """
 
 from .core import BasicTable
-from .hashing import (MERSENNE61, KWiseHash, PowerHash, SeededStream,
-                      bad_base_count, is_identity_multiset, is_prime,
+from .hashing import (MERSENNE61, KWiseHash, PowerHash, SeededStream, is_prime,
                       next_prime_at_least)
 from .reconcile import (EnvelopeError, deserialize, layout_digest,
                         reconcile_local, serialize, sketch_of)
@@ -24,9 +23,9 @@ __version__ = "0.1.0"
 __all__ = [
     "BasicTable", "DecodeOutcome", "DEFAULT_BIG_C", "DEFAULT_C0",
     "EnvelopeError", "KWiseHash", "LayoutPlan", "MERSENNE61", "Params",
-    "PowerHash", "SeededStream", "StackedSketch", "bad_base_count",
+    "PowerHash", "SeededStream", "StackedSketch",
     "checksum_modulus_bound", "default_checksum_modulus",
-    "default_independence", "deserialize", "is_identity_multiset", "is_prime",
+    "default_independence", "deserialize", "is_prime",
     "layout_digest", "next_prime_at_least", "plan_layout", "reconcile_local",
     "serialize", "sketch_of",
 ]

@@ -21,7 +21,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from .core import CHECKSUM_CELL_BYTES, PLAIN_CELL_BYTES, key_bound
-from .hashing import KWiseHash, SeededStream, bad_base_count, is_identity_multiset
+from .hashing import KWiseHash, SeededStream, check_power_params
 from .reconcile import reconcile_local, serialize, sketch_of
 from .stacked import DEFAULT_BIG_C, DEFAULT_C0, Params, StackedSketch, plan_layout
 
@@ -201,6 +201,53 @@ def cmd_space(args) -> int:
 
 
 # -- lemma3 ------------------------------------------------------------------
+
+def is_identity_multiset(keys, signs) -> bool:
+    """True when the signed keys reduce to one net +1 key.
+
+    For such multisets the two sides of the checksum identity are the same
+    polynomial in the base, so every base verifies (and rightly so: the
+    cell genuinely holds one pair). Inside a sketch this needs paired +k/-k
+    contributions of one key, which subtraction cancels beforehand, so the
+    case matters only to exhaustive sweeps.
+    """
+    net: dict[int, int] = {}
+    for k, s in zip(keys, signs):
+        net[k] = net.get(k, 0) + s
+    nonzero = [c for c in net.values() if c != 0]
+    return nonzero == [1]
+
+
+def bad_base_count(p: int, q: int, keys, signs) -> int:
+    """Count bases a in Z_q* for which the checksum identity falsely holds.
+
+    A cell holding the signed key multiset {(sigma_i, k_i)} verifies when
+    a^(l*p + sum sigma_i k_i) == a^(l*p) * sum sigma_i a^(k_i) (mod q);
+    the l*p shift keeps the exponent non-negative. Exhaustive over a, so
+    guarded to desk-scale inputs (l * p <= 10^4).
+    """
+    keys = [int(k) for k in keys]
+    signs = [int(s) for s in signs]
+    ell = len(keys)
+    if ell < 1 or len(signs) != ell:
+        raise ValueError("need matching non-empty key and sign lists")
+    if any(s not in (1, -1) for s in signs):
+        raise ValueError("signs must be +1 or -1")
+    check_power_params(p, q)
+    if any(not 0 <= k < p for k in keys):
+        raise ValueError("keys must lie in [0, p)")
+    if ell * p > 10_000:
+        raise ValueError("exhaustive sweep guard: need l * p <= 10^4")
+    shift = ell * p
+    lhs_exp = shift + sum(s * k for s, k in zip(signs, keys))
+    count = 0
+    for a in range(1, q):
+        lhs = pow(a, lhs_exp, q)
+        rhs = pow(a, shift, q) * sum(s * pow(a, k, q) for s, k in zip(signs, keys)) % q
+        if lhs == rhs:
+            count += 1
+    return count
+
 
 def _sign_patterns(ell: int):
     for bits in range(1 << ell):

@@ -24,7 +24,7 @@ import operator
 
 import numpy as np
 
-from .hashing import MERSENNE61, KWiseHash, PowerHash, eval_poly_rows
+from .hashing import MERSENNE61, KWiseHash, PowerHash, eval_poly_rows, stack_limbs
 
 PLAIN_CELL_BYTES = 24       # key_sum + value_sum + count
 CHECKSUM_CELL_BYTES = 40    # + 128-bit hash_sum
@@ -63,9 +63,9 @@ class Mutations:
     def _update(self, keys, values, weights) -> None:
         """The one check of every public mutation, then `_apply`.
 
-        keys and values must be 1-D integer arrays of one length, every key
-        below `key_bound`; weights (one per key, or a scalar) must be integer
-        +-1. Raises ValueError otherwise.
+        keys and values must be 1-D non-negative integer arrays of one
+        length, every key below `key_bound`; weights (one per key, or a
+        scalar) must be integer +-1. Raises ValueError otherwise.
         """
         keys, values = np.asarray(keys), np.asarray(values)
         if keys.ndim != 1 or values.shape != keys.shape:
@@ -74,6 +74,9 @@ class Mutations:
             return
         if not (keys.dtype.kind in "iu" and values.dtype.kind in "iu"):
             raise ValueError("keys and values must be integer arrays")
+        # A signed array would wrap a negative entry to a large uint64.
+        if any(a.dtype.kind == "i" and a.min() < 0 for a in (keys, values)):
+            raise ValueError("keys and values must be non-negative")
         weights = np.asarray(weights)
         if weights.dtype.kind not in "iu" or not (np.abs(weights) == 1).all():
             raise ValueError("signs must be +1 or -1")
@@ -90,7 +93,7 @@ class BasicTable(Mutations):
     """Grid of cells with one hash per row; plain or checksum mode."""
 
     __slots__ = ("rows", "cols", "hashes", "checksum",
-                 "key_sum", "value_sum", "count", "hash_sum", "_coeff_matrix")
+                 "key_sum", "value_sum", "count", "hash_sum", "_limbs")
 
     def __init__(self, rows: int, cols: int, hashes, checksum: PowerHash | None = None):
         if rows < 1 or cols < 1:
@@ -109,21 +112,24 @@ class BasicTable(Mutations):
         self.value_sum = np.zeros((rows, cols), dtype=np.uint64)
         self.count = np.zeros((rows, cols), dtype=np.int64)
         self.hash_sum = np.zeros((rows, cols), dtype=object) if checksum else None
-        # All-KWiseHash tables evaluate every row in one Horner sweep.
-        if hashes and all(isinstance(h, KWiseHash) for h in hashes) and \
-                len({h.independence for h in hashes}) == 1:
-            self._coeff_matrix = np.stack([h._coeffs_u64 for h in hashes])
-        else:
-            self._coeff_matrix = None
+        self._limbs = None          # built by the first bucket_rows call
 
     @property
     def mode(self) -> str:
         return "checksum" if self.checksum is not None else "plain"
 
     def bucket_rows(self, keys: np.ndarray) -> np.ndarray:
-        """(rows, n) bucket indices for a batch of keys."""
-        if self._coeff_matrix is not None:
-            return eval_poly_rows(self._coeff_matrix, keys, self.cols)
+        """(rows, n) bucket indices for a batch of keys.
+
+        All-KWiseHash rows of one degree are evaluated in one kernel call,
+        on their limb matrices stacked at the first call and kept. Tables
+        inside a StackedSketch never build them: the sketch hashes for all
+        its tables at once.
+        """
+        if self._limbs is None and _one_kernel(self.hashes):
+            self._limbs = stack_limbs([h._limbs for h in self.hashes])
+        if self._limbs is not None:
+            return eval_poly_rows(self._limbs, keys, self.cols)
         return np.stack([np.asarray(h.eval_batch(keys), dtype=np.uint64) for h in self.hashes])
 
     def _flat_cells(self, keys: np.ndarray) -> np.ndarray:
@@ -235,6 +241,12 @@ class BasicTable(Mutations):
 
     def __repr__(self):
         return f"BasicTable({self.rows}x{self.cols}, mode={self.mode})"
+
+
+def _one_kernel(hashes) -> bool:
+    # Rows the kernel can evaluate together: all KWiseHash, one degree.
+    return all(isinstance(h, KWiseHash) for h in hashes) and \
+        len({h.independence for h in hashes}) == 1
 
 
 def _pairs_to_arrays(pairs):

@@ -2,15 +2,16 @@
 
 Bucket placement uses seeded degree-(k-1) polynomials over the Mersenne
 field Z_(2^61-1): drawing the k coefficients from a counter-mode stream
-gives a k-wise independent family, and the Mersenne modulus lets a whole
-batch of keys reduce inside uint64 numpy arithmetic (32-bit limb products,
-shift-and-add folding, after Thorup, "High Speed Hashing for Integers and
-Strings"). `eval_poly_rows` is the one Horner kernel: it evaluates a stack
-of polynomial rows, each with its own bucket range, over blocks of
-BLOCK_KEYS keys, and keeps the accumulator only partly reduced (below
-2^62) until the last step. The checksum family maps a key x to a^x mod q
-for a base a drawn once per sketch; it is what lets a table distinguish a
-cell holding one genuine pair from a cell whose count merely sums to +-1.
+gives a k-wise independent family, and the Mersenne modulus reduces by
+shift-and-add folding (2^61 == 1), after Thorup, "High Speed Hashing for
+Integers and Strings". `eval_poly_rows` is the one polynomial kernel.
+Every row of a stack evaluates the same keys, so it computes the powers
+x^j mod 2^61-1 once per key and turns sum_j c[r, j] * x^j into a matrix
+product: coefficients and powers are split into 21-bit limbs, which keeps
+one float64 GEMM exact, and its three limb-shift classes are folded back
+mod 2^61-1 in uint64. The checksum family maps a key x to a^x mod q for a
+base a drawn once per sketch; it is what lets a table distinguish a cell
+holding one genuine pair from a cell whose count merely sums to +-1.
 """
 
 from __future__ import annotations
@@ -19,21 +20,42 @@ import numpy as np
 
 MERSENNE61 = (1 << 61) - 1
 
-# Keys per Horner block: a block's (rows, BLOCK_KEYS) temporaries stay
-# cache-sized for a whole sketch's rows. Of 128, 256 and 512 keys, 256 was
-# fastest or within noise at every workload shape measured.
+# Keys per kernel block: a block's (rows, BLOCK_KEYS) and (k, BLOCK_KEYS)
+# temporaries stay cache-sized for a whole sketch's rows and small enough
+# for the allocator to recycle, whatever the batch size.
 BLOCK_KEYS = 256
 
+# Powers per limb GEMM. A class sum is exact up to 682 columns (derived in
+# `_limb_classes`); larger k is evaluated in chunks of this many, summed
+# mod 2^61-1.
+CHUNK_POWERS = 512
+
 _M61 = np.uint64(MERSENNE61)
+_M21 = np.uint64((1 << 21) - 1)
 _LOW32 = np.uint64(0xFFFFFFFF)
-_S3, _S29, _S32, _S61 = (np.uint64(s) for s in (3, 29, 32, 61))
+_S3, _S19, _S21, _S29, _S32, _S40, _S42, _S61 = (
+    np.uint64(s) for s in (3, 19, 21, 29, 32, 40, 42, 61))
 _U64 = 0xFFFFFFFFFFFFFFFF
+
+# The power limbs stacked as Y = [X2; X1; X0], by the right shift of each.
+_Y_SHIFT = np.array([42, 21, 0], dtype=np.uint64)[:, None, None]
+# Class t's coefficient limb against X2, X1, X0 (see `_limb_classes`), as
+# the right shift that selects the limb and the left shift that scales it
+# by 4 or 1:
+#   T0: 4*C1, 4*C2, C0    T1: 4*C2, C0, C1    T2: C0, C1, C2
+_CLASS_LIMBS = tuple(np.array(v, dtype=np.uint64)[:, None, :, None] for v in (
+    [[21, 42, 0], [42, 0, 21], [0, 21, 42]],
+    [[2, 2, 0], [2, 0, 0], [0, 0, 0]]))
 
 # Stream-id namespaces: one master seed drives every draw in a sketch, so
 # each consumer gets its own Philox key half.
 _STREAM_BUCKET = 1
 _STREAM_CHECKSUM = 2
 _STREAM_WITNESS = 3
+
+
+def _philox(seed: int, stream_id: int) -> np.random.Philox:
+    return np.random.Philox(key=np.array([seed & _U64, stream_id & _U64], dtype=np.uint64))
 
 
 class SeededStream:
@@ -44,8 +66,7 @@ class SeededStream:
     """
 
     def __init__(self, seed: int, stream_id: int):
-        key = np.array([seed & _U64, stream_id & _U64], dtype=np.uint64)
-        self._bitgen = np.random.Philox(key=key)
+        self._bitgen = _philox(seed, stream_id)
         self._words: list[int] = []
 
     def _word(self) -> int:
@@ -71,6 +92,22 @@ class SeededStream:
                 return v
 
 
+def _field_elements(bitgen, k: int) -> np.ndarray:
+    """k uniform elements of Z_(2^61-1) as uint64, drawn from bitgen's words.
+
+    The same sequence k calls of `SeededStream.below(2^61-1)` give: each
+    64-bit word masked to 61 bits, kept when below 2^61-1. A word is
+    rejected with probability 2^-61, so one draw of k words nearly always
+    suffices; otherwise the stream continues for the shortfall.
+    """
+    words = bitgen.random_raw(k) & _M61
+    out = words[words < _M61]
+    while out.size < k:
+        words = bitgen.random_raw(k - out.size) & _M61
+        out = np.concatenate([out, words[words < _M61]])
+    return out
+
+
 def bucket_stream_id(table: int, row: int) -> int:
     """Stream id for the row hash of one table row."""
     if not (0 <= table < 1 << 24 and 0 <= row < 1 << 28):
@@ -85,22 +122,21 @@ class KWiseHash:
     (coefficients, key), so instances may be shared across threads.
     """
 
-    __slots__ = ("independence", "gamma", "coefficients", "_coeffs_u64")
+    __slots__ = ("independence", "gamma", "coefficients", "_limbs")
 
     def __init__(self, seed: int, k: int, gamma: int, stream_id: int = 0):
         if k < 1:
             raise ValueError("independence k must be >= 1")
-        stream = SeededStream(seed, stream_id)
-        coeffs = [stream.below(MERSENNE61) for _ in range(k)]
-        self._init_fields(coeffs, gamma)
+        self._init_fields(_field_elements(_philox(seed, stream_id), k), gamma)
 
-    def _init_fields(self, coeffs: list[int], gamma: int) -> None:
+    def _init_fields(self, coeffs: np.ndarray, gamma: int) -> None:
         if not 1 <= gamma < MERSENNE61:
             raise ValueError("bucket range must satisfy 1 <= gamma < 2^61-1")
-        self.independence = len(coeffs)
+        self.independence = coeffs.size
         self.gamma = gamma
-        self.coefficients = tuple(coeffs)
-        self._coeffs_u64 = np.array(coeffs, dtype=np.uint64)
+        self.coefficients = tuple(coeffs.tolist())
+        # The kernel's operand form of this row, built once (see coeff_limbs).
+        self._limbs = coeff_limbs(coeffs[None, :])
 
     @classmethod
     def from_coefficients(cls, coeffs, gamma: int) -> "KWiseHash":
@@ -111,7 +147,7 @@ class KWiseHash:
         if any(not 0 <= c < MERSENNE61 for c in coeffs):
             raise ValueError("coefficients must lie in [0, 2^61-1)")
         obj = cls.__new__(cls)
-        obj._init_fields(coeffs, gamma)
+        obj._init_fields(np.array(coeffs, dtype=np.uint64), gamma)
         return obj
 
     def eval(self, key: int) -> int:
@@ -123,7 +159,7 @@ class KWiseHash:
         keys = np.asarray(keys, dtype=np.uint64)
         if keys.size and int(keys.max()) >= MERSENNE61:
             raise ValueError("key out of hash domain [0, 2^61-1)")
-        rows = eval_poly_rows(self._coeffs_u64[None, :], keys.reshape(-1), self.gamma)
+        rows = eval_poly_rows(self._limbs, keys.reshape(-1), self.gamma)
         return rows.reshape(keys.shape)
 
     def __eq__(self, other) -> bool:
@@ -140,61 +176,165 @@ class KWiseHash:
         return f"KWiseHash(k={self.independence}, gamma={self.gamma})"
 
 
-def eval_poly_rows(coeff_matrix: np.ndarray, keys: np.ndarray, gamma) -> np.ndarray:
+def coeff_limbs(coeff_matrix: np.ndarray) -> tuple:
+    """The operand form of a (rows, k) coefficient matrix for `eval_poly_rows`.
+
+    Each coefficient is split as c = C0 + C1*2^21 + C2*2^42. Per chunk of
+    kc <= CHUNK_POWERS columns it holds one float64 (3, rows, 3*kc) array:
+    class t's limbs against the stacked powers [X2; X1; X0], as laid out in
+    `_CLASS_LIMBS` and explained in `_limb_classes`. Callers that evaluate
+    the same rows repeatedly build it once; row stacks of it are joined
+    with `stack_limbs`.
+    """
+    cm = np.asarray(coeff_matrix, dtype=np.uint64)
+    shift, scale = _CLASS_LIMBS
+    return tuple(
+        (((cm[None, :, None, a : a + CHUNK_POWERS] >> shift) & _M21) << scale)
+        .reshape(3, cm.shape[0], -1).astype(np.float64)
+        for a in range(0, cm.shape[1], CHUNK_POWERS))
+
+
+def stack_limbs(parts) -> tuple:
+    """`coeff_limbs` of the row-wise concatenation of the parts' matrices."""
+    return tuple(np.concatenate(chunk, axis=1) for chunk in zip(*parts))
+
+
+def eval_poly_rows(coeff_matrix, keys: np.ndarray, gamma) -> np.ndarray:
     """Evaluate a stack of polynomials over one key batch.
 
     coeff_matrix is (rows, k) uint64 with entries below 2^61-1, constant
-    term first; keys is (n,) uint64 below 2^61-1; gamma is one bucket range
-    for every row or a (rows, 1) column of per-row ranges, each in
-    [1, 2^61-1). Returns (rows, n) bucket indices, row r reduced mod its
-    gamma. This is the one Horner loop: a stacked sketch sweeps every row
-    of every table in one call, a table all its rows, and
-    KWiseHash.eval_batch one row. Keys go in blocks of BLOCK_KEYS, so
-    temporaries are bounded by rows x BLOCK_KEYS whatever the batch size.
-    Between Horner steps the accumulator is only partly reduced, staying
-    below 2^62 (the bound is derived in the loop), and it is made canonical
-    in [0, 2^61-1) once, before the reduction mod gamma.
+    term first, or its `coeff_limbs` form; keys is (n,) uint64 below
+    2^61-1; gamma is one bucket range for every row or a (rows, 1) column
+    of per-row ranges, each in [1, 2^61-1). Returns (rows, n) bucket
+    indices, row r reduced mod its gamma. This is the one polynomial
+    kernel: a stacked sketch sweeps every row of every table in one call,
+    a table all its rows, and KWiseHash.eval_batch one row.
+
+    Keys go in blocks of BLOCK_KEYS, so temporaries are bounded by
+    (3*rows or 3*k) x BLOCK_KEYS whatever the batch size. Per block:
+    1. Powers: P[j] = x^j mod 2^61-1 for j < k, canonical, by doubling
+       (P[b:2b] = P[:b] * x^b), so about 2*log2(k) vectorized
+       multiply-mods, none wider than (k, BLOCK_KEYS).
+    2. Limbs: powers split like the coefficients, x^j = X0 + X1*2^21 +
+       X2*2^42 with X0, X1 < 2^21 and X2 < 2^19.
+    3. Class sums: the limb products C_a X_b fall into shift classes
+       a+b = 0..4; as 2^63 == 4 (mod 2^61-1), classes 3 and 4 wrap onto
+       0 and 1 with 4*C_a, leaving three sums T0, T1, T2 of weight 1,
+       2^21 and 2^42, all from one float64 GEMM. It is exact (bound in
+       `_limb_classes`), so the result does not depend on summation order
+       or BLAS thread count. For k > CHUNK_POWERS the columns go in
+       chunks, summed mod 2^61-1.
+    4. Recombination in uint64: T0 + T1*2^21 + T2*2^42 folded mod
+       2^61-1, made canonical once before the reduction mod gamma.
     """
-    rows, k = coeff_matrix.shape
-    out = np.empty((rows, keys.size), dtype=np.uint64)
+    limbs = coeff_limbs(coeff_matrix) if isinstance(coeff_matrix, np.ndarray) else coeff_matrix
+    k = sum(c.shape[2] for c in limbs) // 3
+    out = np.empty((limbs[0].shape[1], keys.size), dtype=np.uint64)
     gamma = np.asarray(gamma, dtype=np.uint64)
-    steps = [coeff_matrix[:, j : j + 1] for j in range(k - 2, -1, -1)]
     for start in range(0, keys.size, BLOCK_KEYS):
-        x = keys[None, start : start + BLOCK_KEYS]
-        x_lo = x & _LOW32                           # < 2^32
-        x_hi = x >> _S32                            # < 2^29
-        x_hi8 = x_hi << _S3                         # 8 * x_hi < 2^32
-        acc = np.repeat(coeff_matrix[:, -1:], x.shape[1], axis=1)
-        for c in steps:
-            # acc <- acc*x + c, only partly reduced. Entering, acc < 2^62, so
-            # a_hi < 2^30 and every limb product fits in uint64:
-            # mid = a_hi*x_lo + a_lo*x_hi < 2^63, lo = a_lo*x_lo < 2^64 and
-            # a_hi*8*x_hi < 2^62. With 2^61 == 1 and 2^64 == 8 (mod 2^61-1),
-            # acc*x is congruent to
-            #   8*a_hi*x_hi + (mid >> 29) + (mid mod 2^29)*2^32
-            #   + (lo >> 61) + (lo mod 2^61),
-            # whose terms plus c sum below 5*2^61 + 2^35 < 2^64. One fold,
-            # (s mod 2^61) + (s >> 61) <= 2^61 + 6, restores acc < 2^62.
-            a_hi, a_lo = acc >> _S32, acc & _LOW32
-            mid = a_hi * x_lo
-            mid += a_lo * x_hi
-            lo = a_lo * x_lo
-            acc = a_hi * x_hi8
-            acc += mid >> _S29
-            mid <<= _S32                # keeps mid mod 2^32, shifted up
-            mid &= _M61                 # now (mid mod 2^29) * 2^32
-            acc += mid
-            acc += lo >> _S61
-            lo &= _M61
-            acc += lo
-            acc += c
-            lo = acc >> _S61
-            acc &= _M61
-            acc += lo
-        # acc <= 2^61 + 6 < 2*(2^61-1): one subtraction makes it canonical.
-        acc = np.where(acc >= _M61, acc - _M61, acc)
-        np.remainder(acc, gamma, out=out[:, start : start + BLOCK_KEYS])
+        powers = _powers(keys[start : start + BLOCK_KEYS], k)
+        acc, j = None, 0
+        for c in limbs:
+            kc = c.shape[2] // 3
+            t = _limb_classes(c, powers[j : j + kc])
+            j += kc
+            if acc is not None:
+                t += acc
+            acc = _fold(t)
+        # acc < 2^61 + 4 < 2*(2^61-1): one subtraction makes it canonical.
+        np.remainder(_canonical(acc), gamma, out=out[:, start : start + BLOCK_KEYS])
     return out
+
+
+def _fold(s: np.ndarray) -> np.ndarray:
+    # s < 2^64 -> a congruent value (s mod 2^61) + (s >> 61) < 2^61 + 8.
+    t = s & _M61
+    t += s >> _S61
+    return t
+
+
+def _canonical(v: np.ndarray) -> np.ndarray:
+    # v < 2*(2^61-1) -> v mod 2^61-1: below 2^61-1, v - (2^61-1) wraps high.
+    return np.minimum(v, v - _M61)
+
+
+def _mulmod61(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Canonical a*b mod 2^61-1 for a, b below 2^61 (b broadcasts)."""
+    # 32-bit limbs: a_hi, b_hi < 2^29, so mid = a_hi*b_lo + a_lo*b_hi <
+    # 2^62 and lo = a_lo*b_lo < 2^64 fit in uint64. With 2^64 == 8 and
+    # 2^61 == 1, a*b = a_hi*b_hi*2^64 + mid*2^32 + lo is congruent to
+    #   8*a_hi*b_hi + (mid >> 29) + (mid mod 2^29)*2^32 + (lo >> 61) + (lo mod 2^61),
+    # a sum below 2^61 + 2^33 + 2^61 + 8 + 2^61 < 2^63.
+    a_hi, a_lo = a >> _S32, a & _LOW32
+    b_hi, b_lo = b >> _S32, b & _LOW32
+    mid = a_hi * b_lo
+    mid += a_lo * b_hi
+    lo = a_lo * b_lo
+    s = (a_hi * b_hi) << _S3
+    s += mid >> _S29
+    mid <<= _S32                # keeps mid mod 2^32, shifted up
+    mid &= _M61                 # now (mid mod 2^29) * 2^32
+    s += mid
+    s += lo >> _S61
+    lo &= _M61
+    s += lo
+    return _canonical(_fold(s))
+
+
+def _powers(x: np.ndarray, k: int) -> np.ndarray:
+    """(k, n) canonical powers x^j mod 2^61-1, j < k, of the keys x."""
+    p = np.empty((k, x.size), dtype=np.uint64)
+    p[0] = 1
+    b, xb = 1, x
+    while b < k:
+        # P[b:2b] = P[:b] * x^b, whose first row is x^b itself.
+        if b > 1:
+            xb = _mulmod61(xb, xb)
+        p[b] = xb
+        n = min(b, k - b)
+        if n > 1:
+            p[b + 1 : b + n] = _mulmod61(p[1:n], xb)
+        b *= 2
+    return p
+
+
+def _limb_classes(c: np.ndarray, powers: np.ndarray) -> np.ndarray:
+    """sum_j coefficient[r, j] * powers[j], congruent mod 2^61-1, below 2^63.
+
+    c is one (3, rows, 3*kc) `coeff_limbs` chunk, powers the matching
+    (kc, n) canonical powers x^j = X0 + X1*2^21 + X2*2^42. In the product
+    sum_(a,b) C_a X_b 2^(21(a+b)), shift class a+b = 3 carries 2^63 == 4
+    and class 4 carries 2^84 == 4*2^21 (mod 2^61-1), so both wrap onto
+    classes 0 and 1 with their coefficient limb scaled by 4:
+        T0 = C0 X0 + 4 C2 X1 + 4 C1 X2        (weight 1)
+        T1 = C1 X0 + C0 X1 + 4 C2 X2          (weight 2^21)
+        T2 = C2 X0 + C1 X1 + C0 X2            (weight 2^42)
+    With Y = [X2; X1; X0] stacked, class t is c[t] @ Y, so one GEMM of
+    (3*rows, 3*kc) by (3*kc, n) gives all three.
+    Exactness: X0, X1, C0, C1 < 2^21 and X2, C2 < 2^19, so every product,
+    scaled ones included, is below 2^42, and a class holds 3 of them per
+    column: T_t < 3 * kc * 2^42 <= 2^53 for kc <= 682 (CHUNK_POWERS = 512).
+    Every product and partial sum is then an integer that float64 holds
+    exactly, so the GEMM is exact in any summation order, with or without
+    FMA and for any BLAS thread count.
+    Recombination: T1*2^21 = (T1 >> 40)*2^61 + (T1 mod 2^40)*2^21, and
+    likewise T2*2^42, so with 2^61 == 1 the result is congruent to
+        T0 + (T1 >> 40) + (T2 >> 19) + ((T1 << 21) mod 2^61) + ((T2 << 42) mod 2^61),
+    a sum below 2^53 + 2^13 + 2^34 + 2 * 2^61 < 2^63.
+    """
+    kc, n = powers.shape
+    y = ((powers >> _Y_SHIFT) & _M21).reshape(3 * kc, n).astype(np.float64)
+    t0, t1, t2 = (c.reshape(-1, 3 * kc) @ y).astype(np.uint64).reshape(3, -1, n)
+    t = t1 >> _S40
+    t += t2 >> _S19
+    t += t0
+    t1 <<= _S21
+    t1 &= _M61
+    t += t1
+    t2 <<= _S42
+    t2 &= _M61
+    t += t2
+    return t
 
 
 class PowerHash:
@@ -214,7 +354,7 @@ class PowerHash:
         self._init_fields(base, p, q)
 
     def _init_fields(self, base: int, p: int, q: int) -> None:
-        _check_power_params(p, q)
+        check_power_params(p, q)
         self.base = base
         self.modulus = q
         self.key_bound = p
@@ -257,7 +397,8 @@ class PowerHash:
         return f"PowerHash(p={self.key_bound}, q={self.modulus})"
 
 
-def _check_power_params(p: int, q: int) -> None:
+def check_power_params(p: int, q: int) -> None:
+    """Raise ValueError unless p < q are both prime."""
     if not is_prime(p):
         raise ValueError(f"p={p} is not prime")
     if not is_prime(q):
@@ -321,50 +462,3 @@ def next_prime_at_least(n: int) -> int:
     while not is_prime(c):
         c += 2
     return c
-
-
-def is_identity_multiset(keys, signs) -> bool:
-    """True when the signed keys reduce to one net +1 key.
-
-    For such multisets the two sides of the checksum identity are the same
-    polynomial in the base, so every base verifies (and rightly so: the
-    cell genuinely holds one pair). Inside a sketch this needs paired +k/-k
-    contributions of one key, which subtraction cancels beforehand, so the
-    case matters only to exhaustive sweeps.
-    """
-    net: dict[int, int] = {}
-    for k, s in zip(keys, signs):
-        net[k] = net.get(k, 0) + s
-    nonzero = [c for c in net.values() if c != 0]
-    return nonzero == [1]
-
-
-def bad_base_count(p: int, q: int, keys, signs) -> int:
-    """Count bases a in Z_q* for which the checksum identity falsely holds.
-
-    A cell holding the signed key multiset {(sigma_i, k_i)} verifies when
-    a^(l*p + sum sigma_i k_i) == a^(l*p) * sum sigma_i a^(k_i) (mod q);
-    the l*p shift keeps the exponent non-negative. Exhaustive over a, so
-    guarded to desk-scale inputs (l * p <= 10^4).
-    """
-    keys = [int(k) for k in keys]
-    signs = [int(s) for s in signs]
-    ell = len(keys)
-    if ell < 1 or len(signs) != ell:
-        raise ValueError("need matching non-empty key and sign lists")
-    if any(s not in (1, -1) for s in signs):
-        raise ValueError("signs must be +1 or -1")
-    _check_power_params(p, q)
-    if any(not 0 <= k < p for k in keys):
-        raise ValueError("keys must lie in [0, p)")
-    if ell * p > 10_000:
-        raise ValueError("exhaustive sweep guard: need l * p <= 10^4")
-    shift = ell * p
-    lhs_exp = shift + sum(s * k for s, k in zip(signs, keys))
-    count = 0
-    for a in range(1, q):
-        lhs = pow(a, lhs_exp, q)
-        rhs = pow(a, shift, q) * sum(s * pow(a, k, q) for s, k in zip(signs, keys)) % q
-        if lhs == rhs:
-            count += 1
-    return count

@@ -10,9 +10,10 @@ by cancellation: deleting the full recovered output from every table must
 leave all-zero grids.
 
 Hashing is stacked: at construction the sketch stacks every table's row
-polynomials into one (R, k) coefficient matrix, beside a per-row bucket
-range and in-table row offset, so one `eval_poly_rows` call gives the flat
-cell indices of a batch in every table. A mutation hashes its batch once
+polynomials into the kernel's operand form for all R rows (the 21-bit
+coefficient limbs of `coeff_limbs`), beside a per-row bucket range and
+in-table row offset, so one `eval_poly_rows` call gives the flat cell
+indices of a batch in every table. A mutation hashes its batch once
 and each table scatters its own rows of the indices; the decoder hashes
 each stage's recovered keys once, when the stage closes, and both the peel
 and the verification removals reuse those indices.
@@ -29,7 +30,7 @@ import numpy as np
 from .core import (BasicTable, CHECKSUM_CELL_BYTES, Mutations, PLAIN_CELL_BYTES,
                    _pairs_to_arrays)
 from .hashing import (MERSENNE61, KWiseHash, PowerHash, bucket_stream_id,
-                      eval_poly_rows, is_prime, next_prime_at_least)
+                      eval_poly_rows, is_prime, next_prime_at_least, stack_limbs)
 
 DEFAULT_BIG_C = 8 * math.e
 DEFAULT_C0 = 4.0
@@ -240,12 +241,12 @@ class StackedSketch(Mutations):
             self.tables.append(BasicTable(rows, cols, hashes, power))
         self.item_balance = 0
         # Seed-derived rows share one k: stack them for the one-call kernel,
-        # as (coefficients, per-row bucket range, per-row offset r * cols).
+        # as (coefficient limbs, per-row bucket range, per-row offset r * cols).
         self._stack = None
         if self._canonical:
             dims = self.layout.tables
             self._stack = (
-                np.concatenate([t._coeff_matrix for t in self.tables]),
+                stack_limbs([h._limbs for t in self.tables for h in t.hashes]),
                 np.concatenate([np.full(r, c, dtype=np.uint64) for r, c in dims])[:, None],
                 np.concatenate([np.arange(r, dtype=np.uint64) * np.uint64(c)
                                 for r, c in dims])[:, None],
@@ -266,8 +267,8 @@ class StackedSketch(Mutations):
         """
         if self._stack is None:
             return np.concatenate([t._flat_cells(keys) for t in self.tables])
-        coeffs, gamma, offsets = self._stack
-        flat = eval_poly_rows(coeffs, keys, gamma)
+        limbs, gamma, offsets = self._stack
+        flat = eval_poly_rows(limbs, keys, gamma)
         flat += offsets
         return flat
 

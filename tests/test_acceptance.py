@@ -12,10 +12,9 @@ import time
 import numpy as np
 import pytest
 
-from stacked_iblt.cli import main
+from stacked_iblt.cli import bad_base_count, main
 from stacked_iblt.core import BasicTable
-from stacked_iblt.hashing import (KWiseHash, PowerHash, SeededStream,
-                                  bad_base_count)
+from stacked_iblt.hashing import KWiseHash, PowerHash, SeededStream
 from stacked_iblt.reconcile import deserialize, serialize
 from stacked_iblt.stacked import (DEFAULT_BIG_C, Params, StackedSketch,
                                   plan_layout)

@@ -133,6 +133,11 @@ def test_malformed_batch_rejected(make):
         t.delete_pairs([(3, 4), (5, 6.5)])
     with pytest.raises(ValueError, match="signs"):
         t.delete([(1.5, 3, 4)])
+    # Signed arrays must not wrap: a negative value or key is refused.
+    with pytest.raises(ValueError, match="non-negative"):
+        t.insert_arrays(np.array([3]), np.array([-1]))
+    with pytest.raises(ValueError, match="non-negative"):
+        t.insert_arrays(np.array([-3]), np.array([1]))
     assert t.is_zero()
 
 

@@ -4,10 +4,12 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stacked_iblt.cli import bad_base_count, is_identity_multiset
 from stacked_iblt.hashing import (MERSENNE61, KWiseHash, PowerHash,
-                                  SeededStream, bad_base_count, eval_poly_rows,
-                                  is_identity_multiset, is_prime,
-                                  next_prime_at_least)
+                                  SeededStream, _field_elements,
+                                  bucket_stream_id, coeff_limbs,
+                                  eval_poly_rows, is_prime,
+                                  next_prime_at_least, stack_limbs)
 
 
 def horner_oracle(coeffs, x, mod):
@@ -88,8 +90,8 @@ def test_eval_poly_rows_matches_oracle():
 @pytest.mark.parametrize("n", [1, 255, 256, 257, 700])
 def test_eval_poly_rows_blocks_extremes_and_gamma_column(n):
     # Batches around the key block size, all-maximal coefficients and keys
-    # (the lazy reduction's worst case) beside random ones, and a per-row
-    # bucket range column.
+    # (the largest limbs) beside random ones, and a per-row bucket range
+    # column.
     top = MERSENNE61 - 1                       # 2^61-2, the largest field element
     rng = np.random.default_rng(n)
     cm = rng.integers(0, MERSENNE61, size=(4, 12), dtype=np.uint64)
@@ -105,6 +107,60 @@ def test_eval_poly_rows_blocks_extremes_and_gamma_column(n):
         want = [horner_oracle(coeffs, x, MERSENNE61) % int(gamma[r, 0])
                 for x in keys.tolist()]
         assert got[r].tolist() == want
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 40, 512, 513, 1100, 4096])
+def test_eval_poly_rows_degrees_across_power_chunks(k):
+    # Degrees on both sides of the 512-power GEMM chunk, all-maximal
+    # coefficients and keys beside random ones. At k = 4096 the top row's
+    # class sums would pass 2^53, and round, without chunking. The last
+    # row, 1 + x, sums to exactly 2^61-1 at x = 2^61-2, which only the
+    # final canonical step maps to 0.
+    top = MERSENNE61 - 1
+    rng = np.random.default_rng(k)
+    cm = rng.integers(0, MERSENNE61, size=(4, k), dtype=np.uint64)
+    cm[0] = top
+    cm[1, ::2] = top
+    cm[3] = 0
+    cm[3, :2] = 1
+    keys = rng.integers(0, MERSENNE61, size=300 if k <= 1100 else 20, dtype=np.uint64)
+    keys[::3] = top
+    gamma = np.array([[1], [1000003], [top], [97]], dtype=np.uint64)
+    got = eval_poly_rows(cm, keys, gamma)
+    for r in range(4):
+        coeffs = cm[r].tolist()
+        want = [horner_oracle(coeffs, x, MERSENNE61) % int(gamma[r, 0])
+                for x in keys.tolist()]
+        assert got[r].tolist() == want
+    # The prebuilt operand form, stacked from row groups, gives the same.
+    limbs = stack_limbs([coeff_limbs(cm[:1]), coeff_limbs(cm[1:])])
+    assert np.array_equal(eval_poly_rows(limbs, keys, gamma), got)
+
+
+def test_coefficients_follow_seeded_stream_word_for_word():
+    # The vectorized draw keeps the word sequence of SeededStream.below,
+    # so every seed keeps its meaning.
+    for seed in (0, 1, 123456789, 2**64 - 1):
+        for stream_id in (0, 7, bucket_stream_id(3, 5), 2**64 - 1):
+            for k in (1, 2, 3, 4, 5, 17, 40):
+                s = SeededStream(seed, stream_id)
+                want = tuple(s.below(MERSENNE61) for _ in range(k))
+                assert KWiseHash(seed, k, 97, stream_id=stream_id).coefficients == want
+
+
+def test_field_elements_reject_and_redraw():
+    # Words whose low 61 bits are all ones are skipped, as SeededStream
+    # skips them, and the stream continues for the shortfall.
+    class Words:
+        def __init__(self, words):
+            self.words = list(words)
+
+        def random_raw(self, n):
+            out, self.words = self.words[:n], self.words[n:]
+            return np.array(out, dtype=np.uint64)
+
+    words = [5, 2**64 - 1, MERSENNE61, 7, 2**63 + 9, 11]
+    assert _field_elements(Words(words), 4).tolist() == [5, 7, 9, 11]
 
 
 def test_eval_rejects_out_of_domain_key():
