@@ -8,19 +8,25 @@ power-hash values in Z_q.
 Keys live in [0, 2^61-1); checksum mode further requires key < p.
 Values are arbitrary uint64.
 
+Cells live in a `CellStore`: one flat array per field, row-major. A
+table's grids are (rows, cols) views of its store; a StackedSketch keeps
+one store for all its tables, table after table, and each of its tables
+views its own segment.
+
 Mutation has one path, shared with StackedSketch: the `Mutations`
 adapters (insert, insert_arrays, delete, delete_pairs) validate each
-batch once in `_update`, hash it once with the class's `_flat_cells`,
-and hand the flat cell indices with the (keys, values, weights) arrays to
-its trusted `_apply`, one numpy scatter-add per field. A stacked sketch
-hashes a batch for all its tables in one kernel call and passes each
-table its rows of the indices; the decoder calls `_apply` directly with
-indices it computed once per stage (extraction only yields in-domain keys).
+batch once in `_update`, hash it once with the class's `_flat_cells`
+(indices into its store), and hand the indices with the (keys, values,
+weights) arrays to its trusted `_apply`. Both classes' `_apply`, and the
+stacked decoder, call the one `scatter`: it ravels the (rows, n) indices
+and tiles the signed keys, values and weights to match, so each field
+takes one 1-D `np.add.at` (numpy's fast path for `ufunc.at`).
 """
 
 from __future__ import annotations
 
 import operator
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -89,11 +95,76 @@ class Mutations:
                     np.ascontiguousarray(values, dtype=np.uint64), weights)
 
 
+@dataclass(eq=False, slots=True)
+class CellStore:
+    """Flat cell arrays: key_sum, value_sum (uint64), count (int64) and, in
+    checksum mode, hash_sum (Python ints in [0, q), an object array)."""
+
+    key_sum: np.ndarray
+    value_sum: np.ndarray
+    count: np.ndarray
+    hash_sum: np.ndarray | None = None
+
+    @classmethod
+    def zeros(cls, size: int, checksum: PowerHash | None) -> "CellStore":
+        return cls(np.zeros(size, dtype=np.uint64), np.zeros(size, dtype=np.uint64),
+                   np.zeros(size, dtype=np.int64),
+                   np.zeros(size, dtype=object) if checksum is not None else None)
+
+    def fields(self) -> tuple:
+        """The field arrays, hash_sum last and only in checksum mode."""
+        out = (self.key_sum, self.value_sum, self.count)
+        return out if self.hash_sum is None else out + (self.hash_sum,)
+
+    def segment(self, start: int, stop: int) -> "CellStore":
+        """A store viewing cells [start, stop) of this one."""
+        return CellStore(*(a[start:stop] for a in self.fields()))
+
+    def copy(self) -> "CellStore":
+        return CellStore(*(a.copy() for a in self.fields()))
+
+    def minus(self, other: "CellStore", checksum: PowerHash | None) -> "CellStore":
+        """Cell-wise difference, hash sums reduced mod q."""
+        out = CellStore(*(a - b for a, b in zip(self.fields(), other.fields())))
+        if checksum is not None:
+            out.hash_sum %= checksum.modulus
+        return out
+
+    def is_zero(self) -> bool:
+        return not any(a.any() for a in self.fields())
+
+
+def scatter(cells: CellStore, checksum: PowerHash | None, flat, keys, values, weights,
+            gvals=None) -> None:
+    """Add w * (k, v, 1, g(k)) at each row's cell of every pair: the one scatter.
+
+    Trusted: flat holds (rows, n) indices into `cells`, keys (in the
+    domain) and values are uint64, weights int64 w in {+1,-1}; gvals, the
+    power hashes of the keys, are computed when not given. The object
+    hash_sum is reduced mod q on the touched cells afterwards.
+    """
+    rows = flat.shape[0]
+    idx = flat.reshape(-1)
+    neg = weights < 0
+    kd = np.where(neg, np.uint64(0) - keys, keys)
+    vd = np.where(neg, np.uint64(0) - values, values)
+    np.add.at(cells.key_sum, idx, np.tile(kd, rows))
+    np.add.at(cells.value_sum, idx, np.tile(vd, rows))
+    np.add.at(cells.count, idx, np.tile(weights, rows))
+    if checksum is not None:
+        if gvals is None:
+            gvals = checksum.eval_batch(keys)
+        hs = cells.hash_sum
+        np.add.at(hs, idx, np.tile(gvals * weights, rows))
+        touched = np.zeros(hs.size, dtype=bool)    # a mask: far cheaper than np.unique
+        touched[idx] = True
+        hs[touched] %= checksum.modulus
+
+
 class BasicTable(Mutations):
     """Grid of cells with one hash per row; plain or checksum mode."""
 
-    __slots__ = ("rows", "cols", "hashes", "checksum",
-                 "key_sum", "value_sum", "count", "hash_sum", "_limbs")
+    __slots__ = ("rows", "cols", "hashes", "checksum", "_cells", "_limbs")
 
     def __init__(self, rows: int, cols: int, hashes, checksum: PowerHash | None = None):
         if rows < 1 or cols < 1:
@@ -108,11 +179,35 @@ class BasicTable(Mutations):
         self.cols = cols
         self.hashes = hashes
         self.checksum = checksum
-        self.key_sum = np.zeros((rows, cols), dtype=np.uint64)
-        self.value_sum = np.zeros((rows, cols), dtype=np.uint64)
-        self.count = np.zeros((rows, cols), dtype=np.int64)
-        self.hash_sum = np.zeros((rows, cols), dtype=object) if checksum else None
+        self._cells = CellStore.zeros(rows * cols, checksum)
         self._limbs = None          # built by the first bucket_rows call
+
+    def _view(self, cells: CellStore) -> "BasicTable":
+        """A table with these dimensions and hashes over `cells`, shared, not copied."""
+        out = BasicTable.__new__(BasicTable)
+        out.rows, out.cols, out.hashes, out.checksum, out._limbs = \
+            self.rows, self.cols, self.hashes, self.checksum, self._limbs
+        out._cells = cells
+        return out
+
+    # The (rows, cols) grids: views of the flat store, written through.
+
+    @property
+    def key_sum(self) -> np.ndarray:
+        return self._cells.key_sum.reshape(self.rows, self.cols)
+
+    @property
+    def value_sum(self) -> np.ndarray:
+        return self._cells.value_sum.reshape(self.rows, self.cols)
+
+    @property
+    def count(self) -> np.ndarray:
+        return self._cells.count.reshape(self.rows, self.cols)
+
+    @property
+    def hash_sum(self) -> np.ndarray | None:
+        hs = self._cells.hash_sum
+        return None if hs is None else hs.reshape(self.rows, self.cols)
 
     @property
     def mode(self) -> str:
@@ -133,29 +228,12 @@ class BasicTable(Mutations):
         return np.stack([np.asarray(h.eval_batch(keys), dtype=np.uint64) for h in self.hashes])
 
     def _flat_cells(self, keys: np.ndarray) -> np.ndarray:
-        """(rows, n) indices into the flattened grid: bucket + row * cols."""
+        """(rows, n) indices into the table's store: bucket + row * cols."""
         offs = np.arange(self.rows, dtype=np.uint64) * np.uint64(self.cols)
         return self.bucket_rows(keys) + offs[:, None]
 
-    # -- mutation ---------------------------------------------------------
-
-    def _apply(self, flat, keys, values, weights, gvals=None) -> None:
-        # Trusted scatter: flat holds the (rows, n) cell indices of the
-        # uint64 keys (in the domain), values are uint64 and weights int64
-        # w in {+1,-1}; each pair contributes (w*k, w*v, w, w*g(k)).
-        neg = weights < 0
-        kd = np.where(neg, np.uint64(0) - keys, keys)
-        vd = np.where(neg, np.uint64(0) - values, values)
-        np.add.at(self.key_sum.reshape(-1), flat, kd[None, :])
-        np.add.at(self.value_sum.reshape(-1), flat, vd[None, :])
-        np.add.at(self.count.reshape(-1), flat, weights[None, :])
-        if self.checksum is not None:
-            if gvals is None:
-                gvals = self.checksum.eval_batch(keys)
-            hs = self.hash_sum.reshape(-1)
-            np.add.at(hs, flat, (gvals * weights)[None, :])
-            touched = np.unique(flat)
-            hs[touched] %= self.checksum.modulus
+    def _apply(self, flat, keys, values, weights) -> None:
+        scatter(self._cells, self.checksum, flat, keys, values, weights)
 
     # -- queries ----------------------------------------------------------
 
@@ -170,18 +248,19 @@ class BasicTable(Mutations):
         g_cache memoizes the power hash of every key it checks.
         """
         g = self.checksum
-        cnt = self.count.reshape(-1)
+        cells = self._cells
+        cnt = cells.count
         idx = np.nonzero(cnt == 1 if g is None else np.abs(cnt) == 1)[0]
         neg = cnt[idx] < 0
-        ks = self.key_sum.reshape(-1)[idx]
-        vs = self.value_sum.reshape(-1)[idx]
+        ks = cells.key_sum[idx]
+        vs = cells.value_sum[idx]
         kk = np.where(neg, np.uint64(0) - ks, ks)
         vv = np.where(neg, np.uint64(0) - vs, vs)
         ok = kk < np.uint64(key_bound(g))   # a multi-key residue can leave the domain
         if g is None:
             return {(int(k), int(v)) for k, v in zip(kk[ok], vv[ok])}, set()
         idx, neg, kk, vv = idx[ok], neg[ok], kk[ok], vv[ok]
-        hs = self.hash_sum.reshape(-1)[idx]
+        hs = cells.hash_sum[idx]
         if g_cache is None:
             g_cache = {}
         plus, minus = set(), set()
@@ -205,39 +284,21 @@ class BasicTable(Mutations):
             raise ValueError("row hashes differ; tables were not built compatibly")
         if self.checksum != other.checksum:
             raise ValueError("checksum parameters differ")
-        out = BasicTable(self.rows, self.cols, self.hashes, self.checksum)
-        out.key_sum = self.key_sum - other.key_sum
-        out.value_sum = self.value_sum - other.value_sum
-        out.count = self.count - other.count
-        if self.checksum is not None:
-            out.hash_sum = (self.hash_sum - other.hash_sum) % self.checksum.modulus
-        return out
+        return self._view(self._cells.minus(other._cells, self.checksum))
 
     def is_zero(self) -> bool:
-        if self.key_sum.any() or self.value_sum.any() or self.count.any():
-            return False
-        return self.hash_sum is None or not self.hash_sum.any()
+        return self._cells.is_zero()
 
     def copy(self) -> "BasicTable":
-        out = BasicTable(self.rows, self.cols, self.hashes, self.checksum)
-        out.key_sum = self.key_sum.copy()
-        out.value_sum = self.value_sum.copy()
-        out.count = self.count.copy()
-        if self.hash_sum is not None:
-            out.hash_sum = self.hash_sum.copy()
-        return out
+        return self._view(self._cells.copy())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, BasicTable):
             return NotImplemented
-        if (self.rows, self.cols, self.hashes, self.checksum) != \
-                (other.rows, other.cols, other.hashes, other.checksum):
-            return False
-        # Equal checksums imply both hash_sum grids exist or neither does.
-        return (np.array_equal(self.key_sum, other.key_sum)
-                and np.array_equal(self.value_sum, other.value_sum)
-                and np.array_equal(self.count, other.count)
-                and (self.hash_sum is None or bool((self.hash_sum == other.hash_sum).all())))
+        return ((self.rows, self.cols, self.hashes, self.checksum)
+                == (other.rows, other.cols, other.hashes, other.checksum)
+                and all(np.array_equal(a, b)
+                        for a, b in zip(self._cells.fields(), other._cells.fields())))
 
     def __repr__(self):
         return f"BasicTable({self.rows}x{self.cols}, mode={self.mode})"

@@ -11,18 +11,24 @@ Envelope layout (all little-endian)::
     magic "SIBL" | version u16 | mode u8 | k u32 | n u64 | master_seed u64
     delta f64 | big_c f64 | c0 f64 | p u64 | q u128 | layout_digest u64
     item_balance i64
-    then per table, cells row-major, per cell:
+    then the sketch's cell store: per table, cells row-major, per cell:
     key_sum u64 | value_sum u64 | count i64 | hash_sum u128 (checksum mode)
 
-delta travels as a binary64 float; every derived integer (tau, layout) is
-recomputed from Params on receipt and checked against the 64-bit layout
-digest, so a drifting recomputation can never silently desynchronize
-peers. The digest is checked before any payload is touched.
+The payload is the sketch's flat cell store in order, so each direction
+handles it as one record array. delta travels as a binary64 float; every
+derived integer (tau, layout) is recomputed from Params on receipt and
+checked against the 64-bit layout digest, so a drifting recomputation can
+never silently desynchronize peers. The digest is checked before any
+payload is touched. Params bound k (MAX_INDEPENDENCE), which the digest
+does not cover, before the receiver builds any hash. A hash_sum >= q is
+refused, naming the table of the first such cell.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
+import itertools
 import math
 import struct
 
@@ -65,19 +71,15 @@ def serialize(sketch: StackedSketch) -> bytes:
         p.p or 0, (p.q or 0).to_bytes(16, "little"),
         layout_digest(sketch.layout), sketch.item_balance,
     )
-    chunks = [header]
-    for tab in sketch.tables:
-        cells = tab.rows * tab.cols
-        rec = np.empty(cells, dtype=_CHECKSUM_CELL if checksum_mode else _PLAIN_CELL)
-        rec["k"] = tab.key_sum.reshape(-1)
-        rec["v"] = tab.value_sum.reshape(-1)
-        rec["c"] = tab.count.reshape(-1)
-        if checksum_mode:
-            hs = tab.hash_sum.reshape(-1)
-            rec["h0"] = np.fromiter((int(x) & _MASK64 for x in hs), dtype=np.uint64, count=cells)
-            rec["h1"] = np.fromiter((int(x) >> 64 for x in hs), dtype=np.uint64, count=cells)
-        chunks.append(rec.tobytes())
-    return b"".join(chunks)
+    cells = sketch._cells
+    rec = np.empty(sketch.layout.total_cells,
+                   dtype=_CHECKSUM_CELL if checksum_mode else _PLAIN_CELL)
+    rec["k"], rec["v"], rec["c"] = cells.key_sum, cells.value_sum, cells.count
+    if checksum_mode:
+        hs, size = cells.hash_sum, rec.size
+        rec["h0"] = np.fromiter((int(x) & _MASK64 for x in hs), dtype=np.uint64, count=size)
+        rec["h1"] = np.fromiter((int(x) >> 64 for x in hs), dtype=np.uint64, count=size)
+    return header + memoryview(rec)     # one copy of the payload, not two
 
 
 def deserialize(data: bytes) -> StackedSketch:
@@ -112,24 +114,22 @@ def deserialize(data: bytes) -> StackedSketch:
         raise EnvelopeError("truncated envelope: payload incomplete")
     if len(data) > want:
         raise EnvelopeError("oversized envelope: trailing bytes")
+    rec = np.frombuffer(data, dtype=cell_dtype, count=layout.total_cells,
+                        offset=_HEADER.size)
+    if mode_byte:
+        h0, h1 = rec["h0"], rec["h1"]
+        q_hi, q_lo = np.uint64(q >> 64), np.uint64(q & _MASK64)
+        bad = np.flatnonzero((h1 > q_hi) | ((h1 == q_hi) & (h0 >= q_lo)))
+        if bad.size:
+            ends = itertools.accumulate(r * c for r, c in layout.tables)
+            table = next(t for t, end in enumerate(ends) if bad[0] < end)
+            raise EnvelopeError(f"table {table}: hash_sum not reduced mod q")
     sketch = StackedSketch(params)
     sketch.item_balance = balance
-    offset = _HEADER.size
-    q_hi, q_lo = np.uint64(q >> 64), np.uint64(q & _MASK64)
-    for t, tab in enumerate(sketch.tables):
-        cells = tab.rows * tab.cols
-        rec = np.frombuffer(data, dtype=cell_dtype, count=cells, offset=offset)
-        offset += cells * cell_dtype.itemsize
-        shape = (tab.rows, tab.cols)
-        tab.key_sum = rec["k"].reshape(shape).copy()
-        tab.value_sum = rec["v"].reshape(shape).copy()
-        tab.count = rec["c"].reshape(shape).astype(np.int64)
-        if mode_byte:
-            h0, h1 = rec["h0"], rec["h1"]
-            if ((h1 > q_hi) | ((h1 == q_hi) & (h0 >= q_lo))).any():
-                raise EnvelopeError(f"table {t}: hash_sum not reduced mod q")
-            hs = h0.astype(object) + (h1.astype(object) << 64)
-            tab.hash_sum = hs.reshape(shape)
+    cells = sketch._cells       # written in place: the tables view it
+    cells.key_sum[:], cells.value_sum[:], cells.count[:] = rec["k"], rec["v"], rec["c"]
+    if mode_byte:
+        cells.hash_sum[:] = h0.astype(object) + (h1.astype(object) << 64)
     return sketch
 
 
@@ -152,7 +152,10 @@ def reconcile_local(local_pairs, remote_envelope: bytes, local_params: Params):
         raise ValueError("reconciliation requires checksum mode")
     remote = deserialize(remote_envelope)
     if remote.params != local_params:
-        raise ValueError("remote sketch parameters do not match local ones")
+        differ = sorted(f.name for f in dataclasses.fields(Params)
+                        if getattr(remote.params, f.name) != getattr(local_params, f.name))
+        raise ValueError("remote sketch parameters do not match local ones: "
+                         + ", ".join(differ))
     local = sketch_of(local_pairs, local_params)
     outcome = remote.subtract(local).list_entries(in_place=True)
     return outcome.recovered_plus, outcome.recovered_minus, outcome.complete

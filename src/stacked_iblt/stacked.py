@@ -3,32 +3,36 @@
 Layout: with tau = c0*lg(1/delta) rounded up to a power of two and the
 capacity n rounded likewise, the sketch holds single-row tables of
 ceil(C*n*2^-i) columns while the expected remaining load stays above tau,
-then groups of 2^i rows with ceil(C*tau*2^-i) columns. Decoding peels each
-table once, in order: remove everything recovered so far, extract the
-cells that hold exactly one remaining pair, move on. Success is verified
-by cancellation: deleting the full recovered output from every table must
-leave all-zero grids.
+then groups of 2^i rows with ceil(C*tau*2^-i) columns.
 
-Hashing is stacked: at construction the sketch stacks every table's row
-polynomials into the kernel's operand form for all R rows (the 21-bit
-coefficient limbs of `coeff_limbs`), beside a per-row bucket range and
-in-table row offset, so one `eval_poly_rows` call gives the flat cell
-indices of a batch in every table. A mutation hashes its batch once
-and each table scatters its own rows of the indices; the decoder hashes
-each stage's recovered keys once, when the stage closes, and both the peel
-and the verification removals reuse those indices.
+Store: the cells of all tables live in one flat `CellStore`, table after
+table, each table row-major; every table's grids are views of its
+segment. Hashing is stacked too: at construction the sketch stacks every
+table's row polynomials into the kernel's operand form for all R rows
+(the 21-bit coefficient limbs of `coeff_limbs`), beside a per-row bucket
+range and a per-row store offset (table base + row * cols), so one
+`eval_poly_rows` call gives a batch's indices into the store for every
+row of every table, and one `scatter` applies it.
+
+Decoding peels each table once, in order: extract the cells of table i
+that hold exactly one remaining pair, then subtract the pairs new to the
+output (stage i) from the whole store in one scatter. Table i+1 thus
+sees everything recovered so far removed, and at the end every table
+holds original-minus-everything. Success is verified by cancellation:
+the decode is complete when the whole store is zero.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (BasicTable, CHECKSUM_CELL_BYTES, Mutations, PLAIN_CELL_BYTES,
-                   _pairs_to_arrays)
+from .core import (BasicTable, CHECKSUM_CELL_BYTES, CellStore, Mutations,
+                   PLAIN_CELL_BYTES, _pairs_to_arrays, scatter)
 from .hashing import (MERSENNE61, KWiseHash, PowerHash, bucket_stream_id,
                       eval_poly_rows, is_prime, next_prime_at_least, stack_limbs)
 
@@ -37,6 +41,11 @@ DEFAULT_C0 = 4.0
 DEFAULT_KEY_PRIME = MERSENNE61          # 2^61-1 is itself prime
 
 _MAX_Q_BITS = 128                       # serialized hash_sum field width
+
+# Largest accepted hash independence. Every default k is at most 2176
+# (n < 2^64, delta >= 2^-1074); the bound keeps an untrusted k from sizing
+# the R x k coefficient and limb matrices a sketch builds.
+MAX_INDEPENDENCE = 4096
 
 
 def default_independence(n: int, delta: float) -> int:
@@ -112,6 +121,9 @@ class Params:
             object.__setattr__(self, "k", default_independence(self.n, self.delta))
         if self.k < 2 or self.k % 2:
             raise ValueError("hash independence k must be even and >= 2")
+        if self.k > MAX_INDEPENDENCE:
+            raise ValueError(f"hash independence k must be at most "
+                             f"MAX_INDEPENDENCE = {MAX_INDEPENDENCE}")
         if self.mode == "plain":
             if self.p is not None or self.q is not None:
                 raise ValueError("p/q only apply to checksum mode")
@@ -220,7 +232,8 @@ class DecodeOutcome:
 class StackedSketch(Mutations):
     """Ordered stack of peelable tables driven by one master seed."""
 
-    __slots__ = ("params", "layout", "tables", "item_balance", "_canonical", "_stack")
+    __slots__ = ("params", "layout", "tables", "item_balance", "_canonical", "_stack",
+                 "_cells")
 
     def __init__(self, params: Params, _row_hash_factory=None):
         self.params = params
@@ -235,21 +248,23 @@ class StackedSketch(Mutations):
             self._canonical = True
         else:
             self._canonical = False
-        self.tables = []
+        tables = []
         for t, (rows, cols) in enumerate(self.layout.tables):
             hashes = [_row_hash_factory(t, r, cols) for r in range(rows)]
-            self.tables.append(BasicTable(rows, cols, hashes, power))
+            tables.append(BasicTable(rows, cols, hashes, power))
+        self._cells = CellStore.zeros(self.layout.total_cells, power)
+        self.tables = _table_views(tables, self._cells)
         self.item_balance = 0
         # Seed-derived rows share one k: stack them for the one-call kernel,
-        # as (coefficient limbs, per-row bucket range, per-row offset r * cols).
+        # as (coefficient limbs, per-row bucket range, per-row store offset).
         self._stack = None
         if self._canonical:
             dims = self.layout.tables
             self._stack = (
                 stack_limbs([h._limbs for t in self.tables for h in t.hashes]),
                 np.concatenate([np.full(r, c, dtype=np.uint64) for r, c in dims])[:, None],
-                np.concatenate([np.arange(r, dtype=np.uint64) * np.uint64(c)
-                                for r, c in dims])[:, None],
+                np.concatenate([base + np.arange(r, dtype=np.uint64) * np.uint64(c)
+                                for base, (r, c) in zip(_table_bases(dims), dims)])[:, None],
             )
 
     @property
@@ -259,32 +274,23 @@ class StackedSketch(Mutations):
     # -- mutation ---------------------------------------------------------
 
     def _flat_cells(self, keys: np.ndarray) -> np.ndarray:
-        """(R, n) in-table flat cell indices of keys for every row of every table.
+        """(R, n) store indices of keys for every row of every table.
 
-        Table i owns the rows `self._row_slices()[i]`. Seed-derived sketches
-        evaluate the stacked rows in one kernel call; injected row hashes
-        fall back to each table's own `bucket_rows`.
+        Seed-derived sketches evaluate the stacked rows in one kernel call;
+        injected row hashes fall back to each table's own `bucket_rows`.
         """
         if self._stack is None:
-            return np.concatenate([t._flat_cells(keys) for t in self.tables])
+            return np.concatenate([
+                t._flat_cells(keys) + base
+                for t, base in zip(self.tables, _table_bases(self.layout.tables))])
         limbs, gamma, offsets = self._stack
         flat = eval_poly_rows(limbs, keys, gamma)
         flat += offsets
         return flat
 
-    def _row_slices(self) -> list[slice]:
-        # Table i's rows within the stacked (R, n) index array.
-        out, start = [], 0
-        for rows, _ in self.layout.tables:
-            out.append(slice(start, start + rows))
-            start += rows
-        return out
-
     def _apply(self, flat, keys, values, weights) -> None:
-        # Trusted, like BasicTable._apply; the power hash runs once for all tables.
-        gvals = None if self.checksum is None else self.checksum.eval_batch(keys)
-        for tab, rows in zip(self.tables, self._row_slices()):
-            tab._apply(flat[rows], keys, values, weights, gvals)
+        # Trusted, like BasicTable._apply: one scatter into the whole store.
+        scatter(self._cells, self.checksum, flat, keys, values, weights)
         self.item_balance += int(weights.sum())
 
     # -- queries ----------------------------------------------------------
@@ -297,53 +303,47 @@ class StackedSketch(Mutations):
             raise ValueError("sketch params differ; subtraction undefined")
         if not (self._canonical and other._canonical):
             raise ValueError("cannot subtract sketches built with injected hashes")
-        return self._derive([a.subtract(b) for a, b in zip(self.tables, other.tables)],
+        return self._derive(self._cells.minus(other._cells, self.checksum),
                             self.item_balance - other.item_balance)
 
     def list_entries(self, in_place: bool = False) -> DecodeOutcome:
         """Staged peel over the tables, then verification by cancellation.
 
-        Table i first drops every pair earlier stages recovered, then
-        yields the (plus, minus) sets of its own extraction; pairs new to
-        the output form stage i. Verification drops stages i onward from
-        table i, so each table ends as original-minus-everything, and the
-        decode is complete when all of them are zero. A stage's keys are
-        hashed once, for every table, when the stage closes; both removals
-        scatter table i's rows of those indices. With in_place=True the
-        sketch itself is consumed: afterwards it holds that residual.
+        Table i yields the (plus, minus) sets of its extraction; pairs new
+        to the output form stage i, which is hashed once and subtracted
+        from the whole store in one scatter (item_balance is untouched).
+        Table i+1 thus sees every earlier stage removed, and at the end
+        every table holds original-minus-everything: the decode is complete
+        when the store is zero. With in_place=True the sketch itself is
+        consumed: afterwards it holds that residual.
         """
+        work = self if in_place else self.copy()
         g_cache: dict | None = {} if self.checksum is not None else None
         plus: dict[int, int] = {}
         minus: dict[int, int] = {}
         inconsistent = False
         stage_new: list[tuple[tuple, tuple]] = []
-        stages: list[tuple] = []   # per stage: (keys, values, signs, gvals, flat) arrays
-        working: list[BasicTable] = []
-        row_slices = self._row_slices()
-        for tab, rows in zip(self.tables, row_slices):
-            wt = tab if in_place else tab.copy()
-            working.append(wt)
-            _remove(wt, rows, stages)
-            new_p, new_m = wt.list_entries(g_cache)
+        for tab in work.tables:
+            new_p, new_m = tab.list_entries(g_cache)
             added_p, clash_p = _admit(new_p, plus, minus)
             added_m, clash_m = _admit(new_m, minus, plus)
             inconsistent |= clash_p or clash_m
             stage_new.append((tuple(added_p), tuple(added_m)))
-            stage = _stage_arrays(added_p, added_m, g_cache)
-            stages.append((*stage, self._flat_cells(stage[0])))
-        for i, (wt, rows) in enumerate(zip(working, row_slices)):
-            _remove(wt, rows, stages[i:])
-        complete = all(wt.is_zero() for wt in working)
+            if added_p or added_m:
+                # Extraction keeps keys in the domain, so the scatter is trusted.
+                keys, values, signs, gvals = _stage_arrays(added_p, added_m, g_cache)
+                scatter(work._cells, work.checksum, work._flat_cells(keys),
+                        keys, values, -signs, gvals)
         return DecodeOutcome(
             recovered_plus=set(plus.items()),
             recovered_minus=set(minus.items()),
-            complete=complete,
+            complete=work._cells.is_zero(),
             inconsistent=inconsistent,
             stage_recoveries=tuple(stage_new),
         )
 
     def is_zero(self) -> bool:
-        return all(t.is_zero() for t in self.tables)
+        return self._cells.is_zero()
 
     def cell_count(self) -> int:
         return self.layout.total_cells
@@ -353,13 +353,14 @@ class StackedSketch(Mutations):
         return self.cell_count() * width * 8
 
     def copy(self) -> "StackedSketch":
-        return self._derive([t.copy() for t in self.tables], self.item_balance)
+        return self._derive(self._cells.copy(), self.item_balance)
 
-    def _derive(self, tables: list, item_balance: int) -> "StackedSketch":
-        # A sketch with these params and hashes but the given cell state.
+    def _derive(self, cells: CellStore, item_balance: int) -> "StackedSketch":
+        # A sketch with these params and hashes over the given store.
         out = StackedSketch.__new__(StackedSketch)
         out.params, out.layout, out._canonical = self.params, self.layout, self._canonical
-        out._stack, out.tables, out.item_balance = self._stack, tables, item_balance
+        out._stack, out._cells, out.item_balance = self._stack, cells, item_balance
+        out.tables = _table_views(self.tables, cells)
         return out
 
     def __eq__(self, other) -> bool:
@@ -372,6 +373,18 @@ class StackedSketch(Mutations):
     def __repr__(self):
         return (f"StackedSketch(n={self.params.n}, delta={self.params.delta}, "
                 f"mode={self.params.mode}, tables={len(self.tables)})")
+
+
+def _table_bases(dims) -> list[int]:
+    """Start of each table's segment in the store, for (rows, cols) dims."""
+    return list(itertools.accumulate((r * c for r, c in dims), initial=0))[:-1]
+
+
+def _table_views(tables: list, cells: CellStore) -> list:
+    # Each table's dimensions and hashes over its own segment of `cells`.
+    dims = [(t.rows, t.cols) for t in tables]
+    return [t._view(cells.segment(base, base + r * c))
+            for t, base, (r, c) in zip(tables, _table_bases(dims), dims)]
 
 
 def _admit(found: set, side: dict, other: dict) -> tuple[list, bool]:
@@ -398,16 +411,3 @@ def _stage_arrays(added_p: list, added_m: list, g_cache: dict | None) -> tuple:
     signs = np.repeat(np.array([1, -1], dtype=np.int64), (len(added_p), len(added_m)))
     gvals = None if g_cache is None else np.array([g_cache[k] for k, _ in pairs], dtype=object)
     return keys, values, signs, gvals
-
-
-def _remove(table: BasicTable, rows: slice, stages: list) -> None:
-    """Drop every pair of `stages` from `table`, which owns `rows` of their indices.
-
-    Extraction keeps keys in the domain, so the scatter is trusted.
-    """
-    if not any(s[0].size for s in stages):
-        return
-    keys, values, signs = (np.concatenate([s[j] for s in stages]) for j in range(3))
-    gvals = None if table.checksum is None else np.concatenate([s[3] for s in stages])
-    flat = np.concatenate([s[4][rows] for s in stages], axis=1)
-    table._apply(flat, keys, values, -signs, gvals)

@@ -4,6 +4,7 @@ import struct
 import numpy as np
 import pytest
 
+from stacked_iblt.hashing import next_prime_at_least
 from stacked_iblt.reconcile import (EnvelopeError, deserialize, layout_digest,
                                     reconcile_local, serialize, sketch_of)
 from stacked_iblt.stacked import Params, StackedSketch, plan_layout
@@ -11,6 +12,7 @@ from stacked_iblt.stacked import Params, StackedSketch, plan_layout
 CHECK = Params(n=32, delta=2.0**-6, mode="checksum", master_seed=11)
 PLAIN = Params(n=32, delta=2.0**-6, master_seed=11)
 
+_K_OFF = 7               # struct offset of the u32 k field
 _DELTA_OFF = 27          # struct offset of the f64 delta field
 _DIGEST_OFF = 75         # struct offset of the u64 layout digest
 
@@ -122,6 +124,14 @@ def test_non_canonical_hash_sum_rejected():
             deserialize(bytes(blob))
 
 
+def test_oversized_k_rejected_before_allocation():
+    # The digest does not cover k; Params bounds it before any hash is built.
+    blob = bytearray(serialize(filled(PLAIN)[0]))
+    blob[_K_OFF:_K_OFF + 4] = struct.pack("<I", 1 << 20)
+    with pytest.raises(EnvelopeError, match="invalid parameters"):
+        deserialize(bytes(blob))
+
+
 def test_digest_covers_layout():
     assert layout_digest(plan_layout(PLAIN)) != layout_digest(
         plan_layout(Params(n=64, delta=2.0**-6)))
@@ -168,6 +178,14 @@ def test_reconcile_rejects_param_mismatch():
     other = Params(n=32, delta=2.0**-6, mode="checksum", master_seed=12)
     s, truth = filled(CHECK)
     with pytest.raises(ValueError, match="match"):
+        reconcile_local(truth, serialize(s), other)
+
+
+def test_reconcile_mismatch_names_fields():
+    other = Params(n=32, delta=2.0**-6, mode="checksum", master_seed=12,
+                   q=next_prime_at_least(CHECK.q + 1))
+    s, truth = filled(CHECK)
+    with pytest.raises(ValueError, match="do not match local ones: master_seed, q$"):
         reconcile_local(truth, serialize(s), other)
 
 

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from stacked_iblt.stacked import (DEFAULT_BIG_C, DecodeOutcome, Params,
-                                  StackedSketch, default_independence,
+from stacked_iblt.stacked import (DEFAULT_BIG_C, MAX_INDEPENDENCE, DecodeOutcome,
+                                  Params, StackedSketch, default_independence,
                                   plan_layout)
 
 from reference import LookupHash, reference_list_entries
@@ -56,6 +56,15 @@ def test_params_defaults_and_validation():
         Params(n=4, delta=0.5, mode="fancy")
     with pytest.raises(ValueError):
         Params(n=4, delta=0.5, p=97)   # p/q are checksum-mode settings
+
+
+def test_params_bound_k():
+    # k sizes the R x k coefficient and limb matrices, so it is capped;
+    # defaults stay far below the cap even at extreme n and delta.
+    assert Params(n=4, delta=0.5, k=MAX_INDEPENDENCE).k == MAX_INDEPENDENCE
+    with pytest.raises(ValueError, match=f"at most MAX_INDEPENDENCE = {MAX_INDEPENDENCE}"):
+        Params(n=4, delta=0.5, k=MAX_INDEPENDENCE + 2)
+    assert default_independence(2**64 - 1, 2.0**-1000) <= MAX_INDEPENDENCE
 
 
 def test_default_k_satisfies_target_inequality():
@@ -205,12 +214,15 @@ def test_insert_touches_each_row_once():
 
 def test_stacked_cells_match_per_table_bucket_rows():
     # One stacked kernel call must place every key where each table's own
-    # bucket_rows does; the per-table path is the reference.
+    # bucket_rows does; the per-table path is the reference. Indices point
+    # into the sketch's flat store, so each table's rows gain its base.
     s = StackedSketch(Params(n=256, delta=2.0**-10, master_seed=11))
     keys = np.random.default_rng(11).integers(0, 2**61 - 1, size=600, dtype=np.uint64)
+    bases = np.cumsum([0] + [t.rows * t.cols for t in s.tables])
     want = np.concatenate([
-        t.bucket_rows(keys) + (np.arange(t.rows, dtype=np.uint64) * np.uint64(t.cols))[:, None]
-        for t in s.tables])
+        t.bucket_rows(keys) + np.uint64(base)
+        + (np.arange(t.rows, dtype=np.uint64) * np.uint64(t.cols))[:, None]
+        for t, base in zip(s.tables, bases)])
     assert np.array_equal(s._flat_cells(keys), want)
 
 
