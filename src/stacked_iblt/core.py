@@ -1,9 +1,10 @@
 """One peelable table: a rows x cols grid of summed cells.
 
 Every item touches each row exactly once, at the bucket its row hash
-assigns. A cell accumulates the key sum and value sum in Z_(2^64)
-(wrapping uint64), a signed item count, and, in checksum mode, the sum of
-power-hash values in Z_q.
+assigns; the row hashes are one `RowStack`, built from KWiseHash rows of
+one k, or a segment of a StackedSketch's stack. A cell accumulates the
+key sum and value sum in Z_(2^64) (wrapping uint64), a signed item count,
+and, in checksum mode, the sum of power-hash values in Z_q.
 
 Keys live in [0, 2^61-1); checksum mode further requires key < p.
 Values are arbitrary uint64.
@@ -15,12 +16,12 @@ views its own segment.
 
 Mutation has one path, shared with StackedSketch: the `Mutations`
 adapters (insert, insert_arrays, delete, delete_pairs) validate each
-batch once in `_update`, hash it once with the class's `_flat_cells`
-(indices into its store), and hand the indices with the (keys, values,
-weights) arrays to its trusted `_apply`. Both classes' `_apply`, and the
-stacked decoder, call the one `scatter`: it ravels the (rows, n) indices
-and tiles the signed keys, values and weights to match, so each field
-takes one 1-D `np.add.at` (numpy's fast path for `ufunc.at`).
+batch once in `_update`, hash it once with the class's row stack
+`_stack` (indices into its store), and hand the indices with the (keys,
+values, weights) arrays to its trusted `_apply`. Both classes' `_apply`,
+and the stacked decoder, call the one `scatter`: it ravels the (rows, n)
+indices and tiles the signed keys, values and weights to match, so each
+field takes one 1-D `np.add.at` (numpy's fast path for `ufunc.at`).
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hashing import MERSENNE61, KWiseHash, PowerHash, eval_poly_rows, stack_limbs
+from .hashing import MERSENNE61, KWiseHash, PowerHash, RowStack
 
 PLAIN_CELL_BYTES = 24       # key_sum + value_sum + count
 CHECKSUM_CELL_BYTES = 40    # + 128-bit hash_sum
@@ -45,7 +46,7 @@ class Mutations:
     """Insert/delete adapters over a trusted `_apply(flat, keys, values, weights)`.
 
     A weight w in {+1,-1} adds w times the pair; `_update` validates, and
-    `_flat_cells` hashes the keys to the flat cell indices `_apply` scatters to.
+    `_stack` hashes the keys to the flat cell indices `_apply` scatters to.
     """
 
     __slots__ = ()
@@ -91,7 +92,7 @@ class Mutations:
         bound = key_bound(self.checksum)
         if int(keys.max()) >= bound:
             raise ValueError(f"key out of domain [0, {bound})")
-        self._apply(self._flat_cells(keys), keys,
+        self._apply(self._stack.flat_cells(keys), keys,
                     np.ascontiguousarray(values, dtype=np.uint64), weights)
 
 
@@ -162,9 +163,9 @@ def scatter(cells: CellStore, checksum: PowerHash | None, flat, keys, values, we
 
 
 class BasicTable(Mutations):
-    """Grid of cells with one hash per row; plain or checksum mode."""
+    """Grid of cells with one polynomial hash per row; plain or checksum mode."""
 
-    __slots__ = ("rows", "cols", "hashes", "checksum", "_cells", "_limbs")
+    __slots__ = ("rows", "cols", "checksum", "_stack", "_cells")
 
     def __init__(self, rows: int, cols: int, hashes, checksum: PowerHash | None = None):
         if rows < 1 or cols < 1:
@@ -172,23 +173,25 @@ class BasicTable(Mutations):
         hashes = tuple(hashes)
         if len(hashes) != rows:
             raise ValueError(f"hash vector has {len(hashes)} entries for {rows} rows")
+        if not all(isinstance(h, KWiseHash) for h in hashes):
+            raise ValueError("row hashes must be KWiseHash polynomials")
+        if len({h.independence for h in hashes}) != 1:
+            raise ValueError("row hashes must share one independence k")
         for h in hashes:
             if h.gamma != cols:
                 raise ValueError("row hash range does not match column count")
-        self.rows = rows
-        self.cols = cols
-        self.hashes = hashes
-        self.checksum = checksum
-        self._cells = CellStore.zeros(rows * cols, checksum)
-        self._limbs = None          # built by the first bucket_rows call
+        self._bind(RowStack([h.coefficients for h in hashes], [cols] * rows), checksum,
+                   CellStore.zeros(rows * cols, checksum))
+
+    def _bind(self, stack: RowStack, checksum: PowerHash | None, cells: CellStore) -> "BasicTable":
+        # Every row of a table has the same bucket range: its column count.
+        self.rows, self.cols = stack.gamma.shape[0], int(stack.gamma[0, 0])
+        self.checksum, self._stack, self._cells = checksum, stack, cells
+        return self
 
     def _view(self, cells: CellStore) -> "BasicTable":
-        """A table with these dimensions and hashes over `cells`, shared, not copied."""
-        out = BasicTable.__new__(BasicTable)
-        out.rows, out.cols, out.hashes, out.checksum, out._limbs = \
-            self.rows, self.cols, self.hashes, self.checksum, self._limbs
-        out._cells = cells
-        return out
+        """A table with these rows over `cells`, shared, not copied."""
+        return BasicTable.__new__(BasicTable)._bind(self._stack, self.checksum, cells)
 
     # The (rows, cols) grids: views of the flat store, written through.
 
@@ -213,24 +216,15 @@ class BasicTable(Mutations):
     def mode(self) -> str:
         return "checksum" if self.checksum is not None else "plain"
 
+    @property
+    def hashes(self) -> tuple:
+        """The row hashes as KWiseHash objects, rebuilt from the row stack."""
+        return tuple(KWiseHash.from_coefficients(c, self.cols)
+                     for c in self._stack.coefficients.tolist())
+
     def bucket_rows(self, keys: np.ndarray) -> np.ndarray:
-        """(rows, n) bucket indices for a batch of keys.
-
-        All-KWiseHash rows of one degree are evaluated in one kernel call,
-        on their limb matrices stacked at the first call and kept. Tables
-        inside a StackedSketch never build them: the sketch hashes for all
-        its tables at once.
-        """
-        if self._limbs is None and _one_kernel(self.hashes):
-            self._limbs = stack_limbs([h._limbs for h in self.hashes])
-        if self._limbs is not None:
-            return eval_poly_rows(self._limbs, keys, self.cols)
-        return np.stack([np.asarray(h.eval_batch(keys), dtype=np.uint64) for h in self.hashes])
-
-    def _flat_cells(self, keys: np.ndarray) -> np.ndarray:
-        """(rows, n) indices into the table's store: bucket + row * cols."""
-        offs = np.arange(self.rows, dtype=np.uint64) * np.uint64(self.cols)
-        return self.bucket_rows(keys) + offs[:, None]
+        """(rows, n) bucket indices in [0, cols) for a uint64 batch of keys."""
+        return self._stack.flat_cells(keys) - self._stack.offsets
 
     def _apply(self, flat, keys, values, weights) -> None:
         scatter(self._cells, self.checksum, flat, keys, values, weights)
@@ -278,9 +272,7 @@ class BasicTable(Mutations):
         """Cell-wise difference; both tables must be built compatibly."""
         if not isinstance(other, BasicTable):
             raise TypeError("expected a BasicTable")
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("table dimensions differ")
-        if self.hashes != other.hashes:
+        if self._stack != other._stack:
             raise ValueError("row hashes differ; tables were not built compatibly")
         if self.checksum != other.checksum:
             raise ValueError("checksum parameters differ")
@@ -295,19 +287,12 @@ class BasicTable(Mutations):
     def __eq__(self, other) -> bool:
         if not isinstance(other, BasicTable):
             return NotImplemented
-        return ((self.rows, self.cols, self.hashes, self.checksum)
-                == (other.rows, other.cols, other.hashes, other.checksum)
+        return (self._stack == other._stack and self.checksum == other.checksum
                 and all(np.array_equal(a, b)
                         for a, b in zip(self._cells.fields(), other._cells.fields())))
 
     def __repr__(self):
         return f"BasicTable({self.rows}x{self.cols}, mode={self.mode})"
-
-
-def _one_kernel(hashes) -> bool:
-    # Rows the kernel can evaluate together: all KWiseHash, one degree.
-    return all(isinstance(h, KWiseHash) for h in hashes) and \
-        len({h.independence for h in hashes}) == 1
 
 
 def _pairs_to_arrays(pairs):

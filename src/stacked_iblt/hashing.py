@@ -4,14 +4,17 @@ Bucket placement uses seeded degree-(k-1) polynomials over the Mersenne
 field Z_(2^61-1): drawing the k coefficients from a counter-mode stream
 gives a k-wise independent family, and the Mersenne modulus reduces by
 shift-and-add folding (2^61 == 1), after Thorup, "High Speed Hashing for
-Integers and Strings". `eval_poly_rows` is the one polynomial kernel.
-Every row of a stack evaluates the same keys, so it computes the powers
-x^j mod 2^61-1 once per key and turns sum_j c[r, j] * x^j into a matrix
-product: coefficients and powers are split into 21-bit limbs, which keeps
-one float64 GEMM exact, and its three limb-shift classes are folded back
-mod 2^61-1 in uint64. The checksum family maps a key x to a^x mod q for a
-base a drawn once per sketch; it is what lets a table distinguish a cell
-holding one genuine pair from a cell whose count merely sums to +-1.
+Integers and Strings". A sketch's polynomials are one `RowStack`, an
+(R, k) coefficient matrix drawn row by row from per-row streams, and
+`RowStack.flat_cells` is the one bucket evaluation. `eval_poly_rows` is
+the one polynomial kernel. Every row of a stack evaluates the same keys,
+so it computes the powers x^j mod 2^61-1 once per key and turns
+sum_j c[r, j] * x^j into a matrix product: coefficients and powers are
+split into 21-bit limbs, which keeps one float64 GEMM exact, and its
+three limb-shift classes are folded back mod 2^61-1 in uint64. The
+checksum family maps a key x to a^x mod q for a base a drawn once per
+sketch; it is what lets a table distinguish a cell holding one genuine
+pair from a cell whose count merely sums to +-1.
 """
 
 from __future__ import annotations
@@ -118,11 +121,11 @@ def bucket_stream_id(table: int, row: int) -> int:
 class KWiseHash:
     """Seeded degree-(k-1) polynomial over Z_(2^61-1), reduced mod `gamma`.
 
-    Immutable after construction; evaluation is a pure function of
-    (coefficients, key), so instances may be shared across threads.
+    A one-row RowStack; immutable after construction, so instances may be
+    shared across threads.
     """
 
-    __slots__ = ("independence", "gamma", "coefficients", "_limbs")
+    __slots__ = ("independence", "gamma", "coefficients", "_row")
 
     def __init__(self, seed: int, k: int, gamma: int, stream_id: int = 0):
         if k < 1:
@@ -132,11 +135,9 @@ class KWiseHash:
     def _init_fields(self, coeffs: np.ndarray, gamma: int) -> None:
         if not 1 <= gamma < MERSENNE61:
             raise ValueError("bucket range must satisfy 1 <= gamma < 2^61-1")
-        self.independence = coeffs.size
-        self.gamma = gamma
+        self._row = RowStack(coeffs[None, :], [gamma])
+        self.independence, self.gamma = coeffs.size, gamma
         self.coefficients = tuple(coeffs.tolist())
-        # The kernel's operand form of this row, built once (see coeff_limbs).
-        self._limbs = coeff_limbs(coeffs[None, :])
 
     @classmethod
     def from_coefficients(cls, coeffs, gamma: int) -> "KWiseHash":
@@ -159,8 +160,7 @@ class KWiseHash:
         keys = np.asarray(keys, dtype=np.uint64)
         if keys.size and int(keys.max()) >= MERSENNE61:
             raise ValueError("key out of hash domain [0, 2^61-1)")
-        rows = eval_poly_rows(self._limbs, keys.reshape(-1), self.gamma)
-        return rows.reshape(keys.shape)
+        return self._row.flat_cells(keys.reshape(-1)).reshape(keys.shape)
 
     def __eq__(self, other) -> bool:
         return (
@@ -176,6 +176,61 @@ class KWiseHash:
         return f"KWiseHash(k={self.independence}, gamma={self.gamma})"
 
 
+class RowStack:
+    """The bucket polynomials of a table or a whole sketch, one per row.
+
+    Immutable: `coefficients` is the (R, k) matrix over Z_(2^61-1),
+    constant term first; `gamma` the (R, 1) column of per-row bucket
+    ranges, each in [1, 2^61-1); `offsets` the (R, 1) column of each row's
+    first cell in a flat store of the rows back to back, `gamma` cells
+    each; `limbs` the matrix's `coeff_limbs` form, built once.
+    """
+
+    __slots__ = ("coefficients", "gamma", "offsets", "limbs")
+
+    def __init__(self, coefficients, gamma):
+        cm = np.array(coefficients, dtype=np.uint64)
+        self._init_fields(cm, np.array(gamma, dtype=np.uint64).reshape(-1, 1), coeff_limbs(cm))
+
+    def _init_fields(self, cm: np.ndarray, gamma: np.ndarray, limbs: tuple) -> None:
+        offsets = np.cumsum(gamma, dtype=np.uint64).reshape(-1, 1) - gamma
+        for a in (cm, gamma, offsets, *limbs):
+            a.flags.writeable = False
+        self.coefficients, self.gamma, self.offsets, self.limbs = cm, gamma, offsets, limbs
+
+    @classmethod
+    def draw(cls, seed: int, k: int, dims) -> "RowStack":
+        """The rows of tables with these (rows, cols) dims, drawn from one seed.
+
+        Row r of table t is what KWiseHash(seed, k, cols,
+        stream_id=bucket_stream_id(t, r)) draws, word for word.
+        """
+        counts = [rows for rows, _ in dims]
+        cm = np.empty((sum(counts), k), dtype=np.uint64)
+        streams = (bucket_stream_id(t, r) for t, rows in enumerate(counts) for r in range(rows))
+        for i, stream_id in enumerate(streams):
+            cm[i] = _field_elements(_philox(seed, stream_id), k)
+        return cls(cm, np.repeat([cols for _, cols in dims], counts))
+
+    def segment(self, start: int, stop: int) -> "RowStack":
+        """Rows [start, stop), sharing this stack's arrays; offsets restart at 0."""
+        out = RowStack.__new__(RowStack)
+        out._init_fields(self.coefficients[start:stop], self.gamma[start:stop],
+                         tuple(c[:, start:stop] for c in self.limbs))
+        return out
+
+    def flat_cells(self, keys: np.ndarray) -> np.ndarray:
+        """(R, n) store indices of a uint64 key batch: row r's bucket + offsets[r]."""
+        flat = eval_poly_rows(self.limbs, keys, self.gamma)
+        flat += self.offsets
+        return flat
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, RowStack)
+                and np.array_equal(self.gamma, other.gamma)
+                and np.array_equal(self.coefficients, other.coefficients))
+
+
 def coeff_limbs(coeff_matrix: np.ndarray) -> tuple:
     """The operand form of a (rows, k) coefficient matrix for `eval_poly_rows`.
 
@@ -183,8 +238,7 @@ def coeff_limbs(coeff_matrix: np.ndarray) -> tuple:
     kc <= CHUNK_POWERS columns it holds one float64 (3, rows, 3*kc) array:
     class t's limbs against the stacked powers [X2; X1; X0], as laid out in
     `_CLASS_LIMBS` and explained in `_limb_classes`. Callers that evaluate
-    the same rows repeatedly build it once; row stacks of it are joined
-    with `stack_limbs`.
+    the same rows repeatedly build it once.
     """
     cm = np.asarray(coeff_matrix, dtype=np.uint64)
     shift, scale = _CLASS_LIMBS
@@ -192,11 +246,6 @@ def coeff_limbs(coeff_matrix: np.ndarray) -> tuple:
         (((cm[None, :, None, a : a + CHUNK_POWERS] >> shift) & _M21) << scale)
         .reshape(3, cm.shape[0], -1).astype(np.float64)
         for a in range(0, cm.shape[1], CHUNK_POWERS))
-
-
-def stack_limbs(parts) -> tuple:
-    """`coeff_limbs` of the row-wise concatenation of the parts' matrices."""
-    return tuple(np.concatenate(chunk, axis=1) for chunk in zip(*parts))
 
 
 def eval_poly_rows(coeff_matrix, keys: np.ndarray, gamma) -> np.ndarray:
@@ -207,8 +256,8 @@ def eval_poly_rows(coeff_matrix, keys: np.ndarray, gamma) -> np.ndarray:
     2^61-1; gamma is one bucket range for every row or a (rows, 1) column
     of per-row ranges, each in [1, 2^61-1). Returns (rows, n) bucket
     indices, row r reduced mod its gamma. This is the one polynomial
-    kernel: a stacked sketch sweeps every row of every table in one call,
-    a table all its rows, and KWiseHash.eval_batch one row.
+    kernel: a RowStack sweeps all its rows in one call, and
+    KWiseHash.eval_batch one row.
 
     Keys go in blocks of BLOCK_KEYS, so temporaries are bounded by
     (3*rows or 3*k) x BLOCK_KEYS whatever the batch size. Per block:

@@ -1,9 +1,10 @@
 """Set reconciliation over serialized sketches.
 
 Two parties that agree on Params (seed included) each build a sketch of
-their key-value set and exchange the bytes. Each side subtracts its own
-sketch from the remote one and decodes the difference: pairs the remote
-holds land in `missing_locally`, pairs only held locally in
+their key-value set and exchange the bytes. Each side deletes its own
+pairs from the remote sketch, which leaves the sketch of the difference,
+and decodes it: pairs the remote holds land in `missing_locally`, pairs
+only held locally, deleted without ever being inserted, in
 `missing_remotely`. Wire size depends only on Params, never on set sizes.
 
 Envelope layout (all little-endian)::
@@ -61,7 +62,7 @@ def layout_digest(layout: LayoutPlan) -> int:
 
 def serialize(sketch: StackedSketch) -> bytes:
     """Deterministic byte encoding; header plus fixed-width cells."""
-    if not sketch._canonical:
+    if not sketch._seeded:
         raise ValueError("only sketches with seed-derived hashes serialize")
     p = sketch.params
     checksum_mode = p.mode == "checksum"
@@ -145,8 +146,11 @@ def reconcile_local(local_pairs, remote_envelope: bytes, local_params: Params):
 
     Returns (missing_locally, missing_remotely, complete): pairs the remote
     party holds that we lack, pairs we hold that it lacks, and whether the
-    difference decoded completely. Requires checksum mode: our deletions of
-    pairs the remote never inserted are exactly the false-deletion case.
+    difference decoded completely. The local pairs are deleted from the
+    deserialized remote sketch in place, which gives the same cells as
+    subtracting a sketch of them, without building one; the result is
+    decoded in place too. Requires checksum mode: our deletions of pairs
+    the remote never inserted are exactly the false-deletion case.
     """
     if local_params.mode != "checksum":
         raise ValueError("reconciliation requires checksum mode")
@@ -156,6 +160,6 @@ def reconcile_local(local_pairs, remote_envelope: bytes, local_params: Params):
                         if getattr(remote.params, f.name) != getattr(local_params, f.name))
         raise ValueError("remote sketch parameters do not match local ones: "
                          + ", ".join(differ))
-    local = sketch_of(local_pairs, local_params)
-    outcome = remote.subtract(local).list_entries(in_place=True)
+    remote.delete_pairs(local_pairs)
+    outcome = remote.list_entries(in_place=True)
     return outcome.recovered_plus, outcome.recovered_minus, outcome.complete

@@ -7,12 +7,15 @@ then groups of 2^i rows with ceil(C*tau*2^-i) columns.
 
 Store: the cells of all tables live in one flat `CellStore`, table after
 table, each table row-major; every table's grids are views of its
-segment. Hashing is stacked too: at construction the sketch stacks every
-table's row polynomials into the kernel's operand form for all R rows
-(the 21-bit coefficient limbs of `coeff_limbs`), beside a per-row bucket
-range and a per-row store offset (table base + row * cols), so one
-`eval_poly_rows` call gives a batch's indices into the store for every
-row of every table, and one `scatter` applies it.
+segment. Hashing is stacked the same way: the bucket polynomials of all
+R rows are one `RowStack`, drawn at construction from the master seed
+(row r of table t from stream `bucket_stream_id(t, r)`) into one (R, k)
+matrix with its kernel limbs and per-row store offsets (table base +
+row * cols). One `flat_cells` call gives a batch's store indices for
+every row of every table, and one `scatter` applies it; each table holds
+its rows' segment of the stack. `StackedSketch.over_rows` injects a given
+stack instead, for tests that fix the hashing; such a sketch refuses
+`serialize` and `subtract`, since a peer cannot rebuild its rows.
 
 Decoding peels each table once, in order: extract the cells of table i
 that hold exactly one remaining pair, then subtract the pairs new to the
@@ -27,14 +30,14 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .core import (BasicTable, CHECKSUM_CELL_BYTES, CellStore, Mutations,
                    PLAIN_CELL_BYTES, _pairs_to_arrays, scatter)
-from .hashing import (MERSENNE61, KWiseHash, PowerHash, bucket_stream_id,
-                      eval_poly_rows, is_prime, next_prime_at_least, stack_limbs)
+from .hashing import MERSENNE61, PowerHash, RowStack, is_prime, next_prime_at_least
 
 DEFAULT_BIG_C = 8 * math.e
 DEFAULT_C0 = 4.0
@@ -51,7 +54,9 @@ MAX_INDEPENDENCE = 4096
 def default_independence(n: int, delta: float) -> int:
     """Smallest even k with 2^(-k/2) < delta / (4 * ceil(lg n)^2)."""
     lgn = max(math.ceil(math.log2(max(n, 2))), 1)
-    return 2 * math.ceil(math.log2(4 * lgn * lgn / delta))
+    # lg(4 lgn^2 / delta) in the log domain: the quotient overflows a float
+    # for subnormal delta.
+    return 2 * math.ceil(2 + 2 * math.log2(lgn) - math.log2(delta))
 
 
 def checksum_modulus_bound(n: int, delta: float, big_c: float, p: int) -> int:
@@ -104,6 +109,12 @@ class Params:
     master_seed: int = 0
 
     def __post_init__(self):
+        for name in ("n", "k", "master_seed"):
+            if name != "k" or self.k is not None:
+                try:
+                    object.__setattr__(self, name, operator.index(getattr(self, name)))
+                except TypeError:
+                    raise ValueError(f"{name} must be an integer") from None
         if self.n < 1:
             raise ValueError("capacity n must be >= 1")
         if not (isinstance(self.delta, float) and math.isfinite(self.delta)
@@ -232,61 +243,46 @@ class DecodeOutcome:
 class StackedSketch(Mutations):
     """Ordered stack of peelable tables driven by one master seed."""
 
-    __slots__ = ("params", "layout", "tables", "item_balance", "_canonical", "_stack",
+    __slots__ = ("params", "layout", "tables", "item_balance", "_seeded", "_stack",
                  "_cells")
 
-    def __init__(self, params: Params, _row_hash_factory=None):
-        self.params = params
-        self.layout = plan_layout(params)
+    def __init__(self, params: Params):
+        layout = plan_layout(params)
+        self._build(params, layout, RowStack.draw(params.master_seed, params.k, layout.tables),
+                    seeded=True)
+
+    @classmethod
+    def over_rows(cls, params: Params, stack: RowStack) -> "StackedSketch":
+        """A sketch whose bucket rows are `stack` instead of seed-drawn ones.
+
+        The stack needs one row per table row of `plan_layout(params)`, in
+        order, each with its table's column count as bucket range; anything
+        else raises ValueError. The sketch refuses serialize and subtract.
+        """
+        layout = plan_layout(params)
+        if stack.gamma[:, 0].tolist() != [c for r, c in layout.tables for _ in range(r)]:
+            raise ValueError("row stack does not match the layout's rows and column counts")
+        out = cls.__new__(cls)
+        out._build(params, layout, stack, seeded=False)
+        return out
+
+    def _build(self, params: Params, layout: LayoutPlan, stack: RowStack, seeded: bool) -> None:
+        self.params, self.layout, self._stack, self._seeded = params, layout, stack, seeded
         power = None
         if params.mode == "checksum":
             power = PowerHash(params.master_seed, params.p, params.q)
-        if _row_hash_factory is None:
-            def _row_hash_factory(table, row, cols):
-                return KWiseHash(params.master_seed, params.k, cols,
-                                 stream_id=bucket_stream_id(table, row))
-            self._canonical = True
-        else:
-            self._canonical = False
-        tables = []
-        for t, (rows, cols) in enumerate(self.layout.tables):
-            hashes = [_row_hash_factory(t, r, cols) for r in range(rows)]
-            tables.append(BasicTable(rows, cols, hashes, power))
-        self._cells = CellStore.zeros(self.layout.total_cells, power)
-        self.tables = _table_views(tables, self._cells)
+        self._cells = CellStore.zeros(layout.total_cells, power)
+        starts = itertools.accumulate((rows for rows, _ in layout.tables), initial=0)
+        self.tables = _tables_over([stack.segment(a, a + rows)
+                                    for a, (rows, _) in zip(starts, layout.tables)],
+                                   power, self._cells)
         self.item_balance = 0
-        # Seed-derived rows share one k: stack them for the one-call kernel,
-        # as (coefficient limbs, per-row bucket range, per-row store offset).
-        self._stack = None
-        if self._canonical:
-            dims = self.layout.tables
-            self._stack = (
-                stack_limbs([h._limbs for t in self.tables for h in t.hashes]),
-                np.concatenate([np.full(r, c, dtype=np.uint64) for r, c in dims])[:, None],
-                np.concatenate([base + np.arange(r, dtype=np.uint64) * np.uint64(c)
-                                for base, (r, c) in zip(_table_bases(dims), dims)])[:, None],
-            )
 
     @property
     def checksum(self) -> PowerHash | None:
         return self.tables[0].checksum if self.tables else None
 
     # -- mutation ---------------------------------------------------------
-
-    def _flat_cells(self, keys: np.ndarray) -> np.ndarray:
-        """(R, n) store indices of keys for every row of every table.
-
-        Seed-derived sketches evaluate the stacked rows in one kernel call;
-        injected row hashes fall back to each table's own `bucket_rows`.
-        """
-        if self._stack is None:
-            return np.concatenate([
-                t._flat_cells(keys) + base
-                for t, base in zip(self.tables, _table_bases(self.layout.tables))])
-        limbs, gamma, offsets = self._stack
-        flat = eval_poly_rows(limbs, keys, gamma)
-        flat += offsets
-        return flat
 
     def _apply(self, flat, keys, values, weights) -> None:
         # Trusted, like BasicTable._apply: one scatter into the whole store.
@@ -301,7 +297,7 @@ class StackedSketch(Mutations):
             raise TypeError("expected a StackedSketch")
         if self.params != other.params:
             raise ValueError("sketch params differ; subtraction undefined")
-        if not (self._canonical and other._canonical):
+        if not (self._seeded and other._seeded):
             raise ValueError("cannot subtract sketches built with injected hashes")
         return self._derive(self._cells.minus(other._cells, self.checksum),
                             self.item_balance - other.item_balance)
@@ -332,7 +328,7 @@ class StackedSketch(Mutations):
             if added_p or added_m:
                 # Extraction keeps keys in the domain, so the scatter is trusted.
                 keys, values, signs, gvals = _stage_arrays(added_p, added_m, g_cache)
-                scatter(work._cells, work.checksum, work._flat_cells(keys),
+                scatter(work._cells, work.checksum, work._stack.flat_cells(keys),
                         keys, values, -signs, gvals)
         return DecodeOutcome(
             recovered_plus=set(plus.items()),
@@ -356,11 +352,11 @@ class StackedSketch(Mutations):
         return self._derive(self._cells.copy(), self.item_balance)
 
     def _derive(self, cells: CellStore, item_balance: int) -> "StackedSketch":
-        # A sketch with these params and hashes over the given store.
+        # A sketch with these params and rows over the given store.
         out = StackedSketch.__new__(StackedSketch)
-        out.params, out.layout, out._canonical = self.params, self.layout, self._canonical
+        out.params, out.layout, out._seeded = self.params, self.layout, self._seeded
         out._stack, out._cells, out.item_balance = self._stack, cells, item_balance
-        out.tables = _table_views(self.tables, cells)
+        out.tables = _tables_over([t._stack for t in self.tables], self.checksum, cells)
         return out
 
     def __eq__(self, other) -> bool:
@@ -375,16 +371,15 @@ class StackedSketch(Mutations):
                 f"mode={self.params.mode}, tables={len(self.tables)})")
 
 
-def _table_bases(dims) -> list[int]:
-    """Start of each table's segment in the store, for (rows, cols) dims."""
-    return list(itertools.accumulate((r * c for r, c in dims), initial=0))[:-1]
-
-
-def _table_views(tables: list, cells: CellStore) -> list:
-    # Each table's dimensions and hashes over its own segment of `cells`.
-    dims = [(t.rows, t.cols) for t in tables]
-    return [t._view(cells.segment(base, base + r * c))
-            for t, base, (r, c) in zip(tables, _table_bases(dims), dims)]
+def _tables_over(stacks: list, checksum: PowerHash | None, cells: CellStore) -> list:
+    # One table per row-stack segment, each over its own segment of `cells`.
+    tables, base = [], 0
+    for stack in stacks:
+        size = int(stack.gamma.sum())
+        tables.append(BasicTable.__new__(BasicTable)._bind(
+            stack, checksum, cells.segment(base, base + size)))
+        base += size
+    return tables
 
 
 def _admit(found: set, side: dict, other: dict) -> tuple[list, bool]:

@@ -3,10 +3,13 @@
 `reference_list_entries` re-implements the staged peel with plain Python
 dict/loop bookkeeping (no shared code with the production decoder beyond
 reading table state), and `LookupHash` provides fully random hashing via a
-pre-drawn table, the idealized family the analysis assumes.
+pre-drawn table, the idealized family the analysis assumes. A sketch
+hashes with polynomial rows only, so `lookup_stack` turns LookupHash maps
+into the polynomials that pass through them; the oracle evaluates the maps
+themselves.
 """
 
-import numpy as np
+from stacked_iblt.hashing import MERSENNE61, RowStack
 
 U64 = 1 << 64
 
@@ -21,16 +24,33 @@ class LookupHash:
     def eval(self, key):
         return self.mapping[int(key)]
 
-    def eval_batch(self, keys):
-        return np.array([self.mapping[int(k)] for k in np.asarray(keys).ravel().tolist()],
-                        dtype=np.uint64)
 
-    def __eq__(self, other):
-        return (isinstance(other, LookupHash) and self.gamma == other.gamma
-                and self.mapping == other.mapping)
+def interpolate(mapping, k):
+    """Coefficients (constant first, padded with zeros to k) of the unique
+    polynomial over Z_(2^61-1) of degree < len(mapping) through its points."""
+    p = MERSENNE61
+    xs = list(mapping)
+    if len(xs) > k:
+        raise ValueError(f"{len(xs)} points need more than k={k} coefficients")
+    coeffs = [0] * k
+    for i, xi in enumerate(xs):
+        # Lagrange basis l_i(x) = prod_(j != i) (x - x_j) / (x_i - x_j).
+        basis, denom = [1], 1
+        for j, xj in enumerate(xs):
+            if j != i:
+                basis = [(a - xj * b) % p for a, b in zip([0] + basis, basis + [0])]
+                denom = denom * (xi - xj) % p
+        scale = mapping[xi] * pow(denom, -1, p) % p
+        for d, b in enumerate(basis):
+            coeffs[d] = (coeffs[d] + scale * b) % p
+    return coeffs
 
-    def __hash__(self):
-        return hash((self.gamma, tuple(sorted(self.mapping.items()))))
+
+def lookup_stack(tables, k):
+    """A RowStack whose rows reproduce the maps of LookupHash rows, table by
+    table, on every mapped key."""
+    rows = [h for table in tables for h in table]
+    return RowStack([interpolate(h.mapping, k) for h in rows], [h.gamma for h in rows])
 
 
 def _grids_of(sketch):
@@ -57,8 +77,12 @@ def _remove(grid, hashes, checksum, sign, key, value):
             hs[r][j] = (hs[r][j] - sign * checksum.eval(key)) % checksum.modulus
 
 
-def reference_list_entries(sketch):
-    """(plus, minus, complete, inconsistent) via an independent staged peel."""
+def reference_list_entries(sketch, hashes):
+    """(plus, minus, complete, inconsistent) via an independent staged peel.
+
+    hashes[t][r] is the row hash of table t, row r (anything with `eval`),
+    as the sketch was built over.
+    """
     checksum = sketch.checksum
     grids = _grids_of(sketch)
     plus, minus = {}, {}
@@ -68,7 +92,7 @@ def reference_list_entries(sketch):
     for i, tab in enumerate(sketch.tables):
         grid = grids[i]
         for s, k, v in recovered:
-            _remove(grid, tab.hashes, checksum, s, k, v)
+            _remove(grid, hashes[i], checksum, s, k, v)
         ks, vs, cn, hs = grid
         found_p, found_m = set(), set()
         for r in range(tab.rows):
@@ -110,7 +134,7 @@ def reference_list_entries(sketch):
     for i, tab in enumerate(sketch.tables):
         grid = fresh_grids[i]
         for s, k, v in recovered:
-            _remove(grid, tab.hashes, checksum, s, k, v)
+            _remove(grid, hashes[i], checksum, s, k, v)
         ks, vs, cn, hs = grid
         for r in range(tab.rows):
             for c in range(tab.cols):

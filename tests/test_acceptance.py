@@ -19,7 +19,7 @@ from stacked_iblt.reconcile import deserialize, serialize
 from stacked_iblt.stacked import (DEFAULT_BIG_C, Params, StackedSketch,
                                   plan_layout)
 
-from reference import LookupHash, reference_list_entries
+from reference import LookupHash, lookup_stack, reference_list_entries
 
 
 def report(name, ok, detail):
@@ -192,11 +192,12 @@ def test_c6_oracle_equivalence():
         draw = np.random.default_rng([6, trial, 1])
         maps = [[{k: int(draw.integers(0, cols)) for k, _ in pairs}
                  for _ in range(rows)] for rows, cols in lay.tables]
-        sketch = StackedSketch(
-            params, _row_hash_factory=lambda t, r, cols: LookupHash(maps[t][r], cols))
+        hashes = [[LookupHash(m, cols) for m in table]
+                  for table, (_, cols) in zip(maps, lay.tables)]
+        sketch = StackedSketch.over_rows(params, lookup_stack(hashes, params.k))
         sketch.insert(pairs)
         got = sketch.list_entries()
-        want = reference_list_entries(sketch)
+        want = reference_list_entries(sketch, hashes)
         same = (got.recovered_plus, got.recovered_minus,
                 got.complete, got.inconsistent) == want
         agree += same

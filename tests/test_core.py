@@ -7,6 +7,8 @@ from stacked_iblt.core import BasicTable
 from stacked_iblt.hashing import KWiseHash, PowerHash
 from stacked_iblt.stacked import Params, StackedSketch
 
+from reference import LookupHash
+
 U64 = 1 << 64
 
 
@@ -49,6 +51,15 @@ def test_init_dimension_mismatch():
         BasicTable(3, 8, hashes)
     with pytest.raises(ValueError):
         BasicTable(2, 9, hashes)
+
+
+def test_init_rejects_rows_the_kernel_cannot_stack():
+    # A table's rows are one polynomial stack: KWiseHash rows of one k.
+    with pytest.raises(ValueError, match="KWiseHash"):
+        BasicTable(1, 8, [LookupHash({1: 2}, 8)])
+    mixed = [KWiseHash(0, 3, 8, stream_id=0), KWiseHash(0, 4, 8, stream_id=1)]
+    with pytest.raises(ValueError, match="one independence"):
+        BasicTable(2, 8, mixed)
 
 
 # -- insert / delete ----------------------------------------------------------

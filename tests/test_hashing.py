@@ -9,7 +9,7 @@ from stacked_iblt.hashing import (MERSENNE61, KWiseHash, PowerHash,
                                   SeededStream, _field_elements,
                                   bucket_stream_id, coeff_limbs,
                                   eval_poly_rows, is_prime,
-                                  next_prime_at_least, stack_limbs)
+                                  next_prime_at_least)
 
 
 def horner_oracle(coeffs, x, mod):
@@ -132,9 +132,8 @@ def test_eval_poly_rows_degrees_across_power_chunks(k):
         want = [horner_oracle(coeffs, x, MERSENNE61) % int(gamma[r, 0])
                 for x in keys.tolist()]
         assert got[r].tolist() == want
-    # The prebuilt operand form, stacked from row groups, gives the same.
-    limbs = stack_limbs([coeff_limbs(cm[:1]), coeff_limbs(cm[1:])])
-    assert np.array_equal(eval_poly_rows(limbs, keys, gamma), got)
+    # The prebuilt operand form gives the same.
+    assert np.array_equal(eval_poly_rows(coeff_limbs(cm), keys, gamma), got)
 
 
 def test_coefficients_follow_seeded_stream_word_for_word():

@@ -220,3 +220,25 @@ def test_reconcile_property_random_pairs():
             assert missing_here == set_b - set_a
             assert missing_there == set_a - set_b
     assert completes >= 19   # delta = 2^-6 leaves room for rare failure
+
+
+@pytest.mark.parametrize("extra", [16, 32 * CHECK.n], ids=["complete", "overloaded"])
+def test_reconcile_in_place_deletion_matches_subtraction(extra):
+    # Deleting the local pairs from the remote sketch leaves the same cells
+    # as subtracting a sketch of them, before and after the decode.
+    rng = np.random.default_rng(extra)
+    keys = rng.choice(2**50, size=40 + extra, replace=False).tolist()
+    pairs = [(int(k), int(v)) for k, v in
+             zip(keys, rng.integers(0, 2**64, size=len(keys), dtype=np.uint64))]
+    local = pairs[:40]
+    envelope = serialize(sketch_of(pairs[30:], CHECK))
+    deleted = deserialize(envelope)
+    deleted.delete_pairs(local)
+    subtracted = deserialize(envelope).subtract(sketch_of(local, CHECK))
+    assert serialize(deleted) == serialize(subtracted)
+    got, want = deleted.list_entries(in_place=True), subtracted.list_entries(in_place=True)
+    assert got == want
+    assert serialize(deleted) == serialize(subtracted)
+    assert reconcile_local(local, envelope, CHECK) == (
+        want.recovered_plus, want.recovered_minus, want.complete)
+    assert want.complete == (extra == 16)

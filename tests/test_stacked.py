@@ -1,13 +1,17 @@
+import inspect
 import math
 
 import numpy as np
 import pytest
 
+import stacked_iblt
+from stacked_iblt.hashing import KWiseHash, bucket_stream_id
+from stacked_iblt.reconcile import serialize
 from stacked_iblt.stacked import (DEFAULT_BIG_C, MAX_INDEPENDENCE, DecodeOutcome,
                                   Params, StackedSketch, default_independence,
                                   plan_layout)
 
-from reference import LookupHash, reference_list_entries
+from reference import LookupHash, lookup_stack, reference_list_entries
 
 
 def layout_oracle(n, delta, big_c, c0):
@@ -76,6 +80,32 @@ def test_default_k_satisfies_target_inequality():
             lgn = math.ceil(math.log2(max(n, 2)))
             assert 2.0 ** (-k / 2) <= delta / (4 * lgn * lgn)
             assert k % 2 == 0 and k >= 2
+
+
+def test_default_k_for_subnormal_delta():
+    # 4 lg^2(n) / delta overflows a float here; the log-domain form gives
+    # k = 2 * ceil(2 + 2 lg 40 + 1074), inside the MAX_INDEPENDENCE bound.
+    p = Params(n=2**40, delta=5e-324)
+    assert p.k == default_independence(2**40, 5e-324) == 2174
+    assert p.meets_guarantee
+
+
+@pytest.mark.parametrize("field,value,want", [
+    ("n", np.int64(256), 256), ("k", np.int32(8), 8), ("master_seed", np.uint64(5), 5),
+    ("n", 2.5, None), ("n", "256", None), ("k", 8.0, None), ("master_seed", 1.5, None)])
+def test_params_integer_fields(field, value, want):
+    # n, k and master_seed are normalized to int; anything not an integer
+    # is refused up front, not deep inside hashing.
+    kwargs = {"n": 256, "delta": 0.25, field: value}
+    if want is None:
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            Params(**kwargs)
+        return
+    p = Params(**kwargs)
+    assert type(getattr(p, field)) is int and getattr(p, field) == want
+    s = StackedSketch(p)
+    s.insert([(1, 2)])
+    assert s.list_entries().recovered_plus == {(1, 2)}
 
 
 def test_tau_rounds_up_to_power_of_two():
@@ -213,17 +243,35 @@ def test_insert_touches_each_row_once():
 
 
 def test_stacked_cells_match_per_table_bucket_rows():
-    # One stacked kernel call must place every key where each table's own
-    # bucket_rows does; the per-table path is the reference. Indices point
-    # into the sketch's flat store, so each table's rows gain its base.
-    s = StackedSketch(Params(n=256, delta=2.0**-10, master_seed=11))
+    # The one-matrix draw must place every key where independently built
+    # row hashes do: row r of table t is KWiseHash on stream
+    # bucket_stream_id(t, r), and its indices point into the sketch's flat
+    # store at the table's base plus r * cols. Each table's own
+    # bucket_rows, on its segment of the stack, agrees too.
+    p = Params(n=256, delta=2.0**-10, master_seed=11)
+    s = StackedSketch(p)
     keys = np.random.default_rng(11).integers(0, 2**61 - 1, size=600, dtype=np.uint64)
-    bases = np.cumsum([0] + [t.rows * t.cols for t in s.tables])
-    want = np.concatenate([
-        t.bucket_rows(keys) + np.uint64(base)
-        + (np.arange(t.rows, dtype=np.uint64) * np.uint64(t.cols))[:, None]
-        for t, base in zip(s.tables, bases)])
-    assert np.array_equal(s._flat_cells(keys), want)
+    want, base = [], 0
+    for t, (rows, cols) in enumerate(plan_layout(p).tables):
+        buckets = np.stack([
+            KWiseHash(p.master_seed, p.k, cols, stream_id=bucket_stream_id(t, r)).eval_batch(keys)
+            for r in range(rows)])
+        assert np.array_equal(s.tables[t].bucket_rows(keys), buckets)
+        want.append(buckets + np.uint64(base)
+                    + (np.arange(rows, dtype=np.uint64) * np.uint64(cols))[:, None])
+        base += rows * cols
+    assert np.array_equal(s._stack.flat_cells(keys), np.concatenate(want))
+
+
+def test_sketch_tables_hash_within_their_segments():
+    # A table of a sketch hashes with its rows' segment of the stack, so a
+    # pair inserted through it lands once per row of that table only.
+    s = StackedSketch(Params(n=64, delta=2.0**-6, master_seed=4))
+    for t in s.tables:
+        t.insert([(5, 7)])
+        assert t.count.sum(axis=1).tolist() == [1] * t.rows
+        assert all(t.count[r, h.eval(5)] == 1 for r, h in enumerate(t.hashes))
+    assert s._cells.count.sum() == sum(t.rows for t in s.tables)
 
 
 def test_insert_delete_roundtrip_zero():
@@ -398,12 +446,76 @@ def test_reference_decoder_agrees_on_adversarial_layouts():
         draw = np.random.default_rng(trial)
         mappings = [[{k: int(draw.integers(0, cols)) for k, _ in pairs}
                      for _ in range(rows)] for rows, cols in lay.tables]
-        s = StackedSketch(params, _row_hash_factory=lambda t, r, cols: LookupHash(mappings[t][r], cols))
+        hashes = [[LookupHash(m, cols) for m in table]
+                  for table, (_, cols) in zip(mappings, lay.tables)]
+        s = StackedSketch.over_rows(params, lookup_stack(hashes, params.k))
         s.insert(pairs)
         got = s.list_entries()
-        want = reference_list_entries(s)
+        want = reference_list_entries(s, hashes)
         assert (got.recovered_plus, got.recovered_minus, got.complete, got.inconsistent) == want
         agree += 1
         failures += not got.complete
     assert agree == 60
     assert failures > 0   # the adversarial settings do exercise failure paths
+
+
+def fixed_rows(params, seed=0):
+    # Random LookupHash rows over keys 0..7 for every table row of the layout.
+    draw = np.random.default_rng(seed)
+    return [[LookupHash({k: int(draw.integers(0, cols)) for k in range(8)}, cols)
+             for _ in range(rows)] for rows, cols in plan_layout(params).tables]
+
+
+def test_lookup_stack_reproduces_maps():
+    # The interpolated polynomial rows hit every mapped bucket exactly.
+    rng = np.random.default_rng(21)
+    for trial in range(200):
+        size = int(rng.integers(0, 9))
+        keys = rng.choice(4000, size=size, replace=False).tolist()
+        gamma = int(rng.integers(1, 41))
+        hashes = [[LookupHash({k: int(rng.integers(0, gamma)) for k in keys}, gamma)
+                   for _ in range(3)]]
+        stack = lookup_stack(hashes, 16)
+        got = stack.flat_cells(np.array(keys, dtype=np.uint64)) - stack.offsets
+        for r, h in enumerate(hashes[0]):
+            assert got[r].tolist() == [h.mapping[k] for k in keys]
+
+
+def test_over_rows_refuses_serialize_and_subtract():
+    params = Params(n=4, delta=0.25, master_seed=2)
+    hashes = fixed_rows(params)
+    s = StackedSketch.over_rows(params, lookup_stack(hashes, params.k))
+    s.insert([(3, 30), (5, 50)])
+    assert s.list_entries().recovered_plus == {(3, 30), (5, 50)}
+    with pytest.raises(ValueError, match="seed-derived"):
+        serialize(s)
+    with pytest.raises(ValueError, match="injected"):
+        s.subtract(StackedSketch(params))
+    with pytest.raises(ValueError, match="injected"):
+        StackedSketch(params).subtract(s)
+    with pytest.raises(ValueError, match="injected"):
+        s.subtract(s.copy())
+
+
+def test_over_rows_rejects_stack_off_layout():
+    params = Params(n=4, delta=0.25, master_seed=2)
+    hashes = fixed_rows(params)
+    with pytest.raises(ValueError, match="does not match the layout"):
+        StackedSketch.over_rows(params, lookup_stack(hashes[:-1], params.k))
+    hashes[0] = [LookupHash(h.mapping, h.gamma + 1) for h in hashes[0]]
+    with pytest.raises(ValueError, match="does not match the layout"):
+        StackedSketch.over_rows(params, lookup_stack(hashes, params.k))
+
+
+def test_public_surface():
+    # The row stack stays internal, and the sketch has no hashing seam.
+    assert stacked_iblt.__all__ == [
+        "BasicTable", "DecodeOutcome", "DEFAULT_BIG_C", "DEFAULT_C0",
+        "EnvelopeError", "KWiseHash", "LayoutPlan", "MERSENNE61", "Params",
+        "PowerHash", "SeededStream", "StackedSketch",
+        "checksum_modulus_bound", "default_checksum_modulus",
+        "default_independence", "deserialize", "is_prime",
+        "layout_digest", "next_prime_at_least", "plan_layout", "reconcile_local",
+        "serialize", "sketch_of",
+    ]
+    assert list(inspect.signature(StackedSketch).parameters) == ["params"]
