@@ -247,9 +247,7 @@ class StackedSketch(Mutations):
                  "_cells")
 
     def __init__(self, params: Params):
-        layout = plan_layout(params)
-        self._build(params, layout, RowStack.draw(params.master_seed, params.k, layout.tables),
-                    seeded=True)
+        self._build(params, plan_layout(params), None)
 
     @classmethod
     def over_rows(cls, params: Params, stack: RowStack) -> "StackedSketch":
@@ -263,15 +261,22 @@ class StackedSketch(Mutations):
         if stack.gamma[:, 0].tolist() != [c for r, c in layout.tables for _ in range(r)]:
             raise ValueError("row stack does not match the layout's rows and column counts")
         out = cls.__new__(cls)
-        out._build(params, layout, stack, seeded=False)
+        out._build(params, layout, stack)
         return out
 
-    def _build(self, params: Params, layout: LayoutPlan, stack: RowStack, seeded: bool) -> None:
-        self.params, self.layout, self._stack, self._seeded = params, layout, stack, seeded
+    def _build(self, params: Params, layout: LayoutPlan, stack: RowStack | None) -> None:
+        # stack None draws the rows from the master seed, after the store is
+        # allocated: the draw's freed temporaries then sit above the store,
+        # not in holes below it whose reuse, and with it where glibc trims
+        # the heap after a large op, varies from one process to the next.
         power = None
         if params.mode == "checksum":
             power = PowerHash(params.master_seed, params.p, params.q)
         self._cells = CellStore.zeros(layout.total_cells, power)
+        self._seeded = stack is None
+        if stack is None:
+            stack = RowStack.draw(params.master_seed, params.k, layout.tables)
+        self.params, self.layout, self._stack = params, layout, stack
         starts = itertools.accumulate((rows for rows, _ in layout.tables), initial=0)
         self.tables = _tables_over([stack.segment(a, a + rows)
                                     for a, (rows, _) in zip(starts, layout.tables)],
