@@ -22,6 +22,9 @@ values, weights) arrays to its trusted `_apply`. Both classes' `_apply`,
 and the stacked decoder, call the one `scatter`: it ravels the (rows, n)
 indices and tiles the signed keys, values and weights to match, so each
 field takes one 1-D `np.add.at` (numpy's fast path for `ufunc.at`).
+Extraction is an array stage as well: `extract` returns a store's pure
+cells as (keys, values, signs, gvals) arrays, checked in checksum mode by
+one `eval_batch` whose power hashes the decoder's scatter reuses.
 """
 
 from __future__ import annotations
@@ -162,6 +165,32 @@ def scatter(cells: CellStore, checksum: PowerHash | None, flat, keys, values, we
         hs[touched] %= checksum.modulus
 
 
+def extract(cells: CellStore, checksum: PowerHash | None) -> tuple:
+    """Pure cells of `cells` as arrays (keys, values, signs, gvals).
+
+    Plain mode takes count 1 cells, and gvals is None. Checksum mode takes
+    count +-1 cells whose hash sum equals the power hash of the
+    sign-corrected key sum (negation in Z_(2^64) and Z_q), all checked by
+    one `eval_batch` whose values are returned as gvals. Keys outside the
+    domain are never returned; signs are the cells' int64 counts.
+    """
+    cnt = cells.count
+    idx = np.nonzero(cnt == 1 if checksum is None else np.abs(cnt) == 1)[0]
+    signs = cnt[idx]
+    neg = signs < 0
+    ks, vs = cells.key_sum[idx], cells.value_sum[idx]
+    keys = np.where(neg, np.uint64(0) - ks, ks)
+    values = np.where(neg, np.uint64(0) - vs, vs)
+    ok = keys < np.uint64(key_bound(checksum))   # a multi-key residue can leave the domain
+    idx, neg, keys, values, signs = idx[ok], neg[ok], keys[ok], values[ok], signs[ok]
+    if checksum is None:
+        return keys, values, signs, None
+    gvals = checksum.eval_batch(keys)
+    hs = cells.hash_sum[idx]
+    ok = gvals == np.where(neg, (checksum.modulus - hs) % checksum.modulus, hs)
+    return keys[ok], values[ok], signs[ok], gvals[ok]
+
+
 class BasicTable(Mutations):
     """Grid of cells with one polynomial hash per row; plain or checksum mode."""
 
@@ -231,42 +260,13 @@ class BasicTable(Mutations):
 
     # -- queries ----------------------------------------------------------
 
-    def list_entries(self, g_cache: dict | None = None):
-        """Best-effort singleton extraction; returns sets (plus, minus).
-
-        Plain mode takes (key, value) from count==1 cells and leaves minus
-        empty. Checksum mode takes cells with count +-1 whose hash sum
-        matches the power hash of the (sign-corrected) key sum, negation
-        meaning the group inverse in Z_(2^64) and Z_q; minus holds the
-        count -1 side. Keys outside the domain are never returned.
-        g_cache memoizes the power hash of every key it checks.
-        """
-        g = self.checksum
-        cells = self._cells
-        cnt = cells.count
-        idx = np.nonzero(cnt == 1 if g is None else np.abs(cnt) == 1)[0]
-        neg = cnt[idx] < 0
-        ks = cells.key_sum[idx]
-        vs = cells.value_sum[idx]
-        kk = np.where(neg, np.uint64(0) - ks, ks)
-        vv = np.where(neg, np.uint64(0) - vs, vs)
-        ok = kk < np.uint64(key_bound(g))   # a multi-key residue can leave the domain
-        if g is None:
-            return {(int(k), int(v)) for k, v in zip(kk[ok], vv[ok])}, set()
-        idx, neg, kk, vv = idx[ok], neg[ok], kk[ok], vv[ok]
-        hs = cells.hash_sum[idx]
-        if g_cache is None:
-            g_cache = {}
-        plus, minus = set(), set()
-        for j in range(idx.size):
-            key = int(kk[j])
-            want = int(hs[j]) if not neg[j] else (g.modulus - int(hs[j])) % g.modulus
-            got = g_cache.get(key)
-            if got is None:
-                got = g_cache[key] = g.eval(key)
-            if got == want:
-                (minus if neg[j] else plus).add((key, int(vv[j])))
-        return plus, minus
+    def list_entries(self):
+        """Best-effort singleton extraction: `extract`'s pairs as sets (plus,
+        minus), minus holding the count -1 side (empty in plain mode)."""
+        keys, values, signs, _ = extract(self._cells, self.checksum)
+        pos = signs > 0
+        return (set(zip(keys[pos].tolist(), values[pos].tolist())),
+                set(zip(keys[~pos].tolist(), values[~pos].tolist())))
 
     def subtract(self, other: "BasicTable") -> "BasicTable":
         """Cell-wise difference; both tables must be built compatibly."""

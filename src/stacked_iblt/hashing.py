@@ -395,12 +395,9 @@ class PowerHash:
 
     __slots__ = ("base", "modulus", "key_bound")
 
-    def __init__(self, seed: int, p: int, q: int, stream_id: int | None = None):
-        if stream_id is None:
-            stream_id = _STREAM_CHECKSUM << 56
-        stream = SeededStream(seed, stream_id)
-        base = 1 + stream.below(q - 1)
-        self._init_fields(base, p, q)
+    def __init__(self, seed: int, p: int, q: int):
+        stream = SeededStream(seed, _STREAM_CHECKSUM << 56)
+        self._init_fields(1 + stream.below(q - 1), p, q)
 
     def _init_fields(self, base: int, p: int, q: int) -> None:
         check_power_params(p, q)

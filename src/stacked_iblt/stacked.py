@@ -17,12 +17,13 @@ its rows' segment of the stack. `StackedSketch.over_rows` injects a given
 stack instead, for tests that fix the hashing; such a sketch refuses
 `serialize` and `subtract`, since a peer cannot rebuild its rows.
 
-Decoding peels each table once, in order: extract the cells of table i
-that hold exactly one remaining pair, then subtract the pairs new to the
-output (stage i) from the whole store in one scatter. Table i+1 thus
-sees everything recovered so far removed, and at the end every table
-holds original-minus-everything. Success is verified by cancellation:
-the decode is complete when the whole store is zero.
+Decoding peels each table once, in order: `core.extract` returns table
+i's pure cells as arrays (with their power hashes in checksum mode), and
+the slices holding pairs new to the output (stage i) are subtracted from
+the whole store in one scatter. Table i+1 thus sees every earlier stage
+removed, and at the end every table holds original-minus-everything.
+Success is verified by cancellation: the decode is complete when the
+whole store is zero.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (BasicTable, CHECKSUM_CELL_BYTES, CellStore, Mutations,
-                   PLAIN_CELL_BYTES, _pairs_to_arrays, scatter)
+                   PLAIN_CELL_BYTES, extract, scatter)
 from .hashing import MERSENNE61, PowerHash, RowStack, is_prime, next_prime_at_least
 
 DEFAULT_BIG_C = 8 * math.e
@@ -285,7 +286,7 @@ class StackedSketch(Mutations):
 
     @property
     def checksum(self) -> PowerHash | None:
-        return self.tables[0].checksum if self.tables else None
+        return self.tables[0].checksum
 
     # -- mutation ---------------------------------------------------------
 
@@ -310,31 +311,29 @@ class StackedSketch(Mutations):
     def list_entries(self, in_place: bool = False) -> DecodeOutcome:
         """Staged peel over the tables, then verification by cancellation.
 
-        Table i yields the (plus, minus) sets of its extraction; pairs new
-        to the output form stage i, which is hashed once and subtracted
-        from the whole store in one scatter (item_balance is untouched).
+        Table i's pure cells come from `extract` as arrays; the pairs new to
+        the output form stage i, and their slices are subtracted from the
+        whole store in one scatter (item_balance is untouched).
         Table i+1 thus sees every earlier stage removed, and at the end
         every table holds original-minus-everything: the decode is complete
         when the store is zero. With in_place=True the sketch itself is
         consumed: afterwards it holds that residual.
         """
         work = self if in_place else self.copy()
-        g_cache: dict | None = {} if self.checksum is not None else None
         plus: dict[int, int] = {}
         minus: dict[int, int] = {}
         inconsistent = False
         stage_new: list[tuple[tuple, tuple]] = []
         for tab in work.tables:
-            new_p, new_m = tab.list_entries(g_cache)
-            added_p, clash_p = _admit(new_p, plus, minus)
-            added_m, clash_m = _admit(new_m, minus, plus)
-            inconsistent |= clash_p or clash_m
-            stage_new.append((tuple(added_p), tuple(added_m)))
-            if added_p or added_m:
+            keys, values, signs, gvals = extract(tab._cells, work.checksum)
+            take, added, clash = _admit(keys, values, signs, plus, minus)
+            inconsistent |= clash
+            stage_new.append(added)
+            if take:
                 # Extraction keeps keys in the domain, so the scatter is trusted.
-                keys, values, signs, gvals = _stage_arrays(added_p, added_m, g_cache)
-                scatter(work._cells, work.checksum, work._stack.flat_cells(keys),
-                        keys, values, -signs, gvals)
+                keys = keys[take]
+                scatter(work._cells, work.checksum, work._stack.flat_cells(keys), keys,
+                        values[take], -signs[take], None if gvals is None else gvals[take])
         return DecodeOutcome(
             recovered_plus=set(plus.items()),
             recovered_minus=set(minus.items()),
@@ -387,27 +386,26 @@ def _tables_over(stacks: list, checksum: PowerHash | None, cells: CellStore) -> 
     return tables
 
 
-def _admit(found: set, side: dict, other: dict) -> tuple[list, bool]:
-    """Add new pairs to `side`; returns (added, contradiction seen).
+def _admit(keys, values, signs, plus: dict, minus: dict) -> tuple[list, tuple, bool]:
+    """Admit a stage's pairs to `plus` / `minus`; returns (taken, stage, clash).
 
-    A key on `side` with another value, or the pair on `other`, contradicts.
+    Plus side first, each side in (key, value) order. A key on its side with
+    another value, or the pair on the other side, contradicts and is not
+    admitted. taken indexes the admitted entries, stage holds them as the
+    (plus, minus) tuples of `stage_recoveries`.
     """
-    added, clash = [], False
-    for k, v in sorted(found):
+    neg = signs < 0
+    ks, vs, ns = keys.tolist(), values.tolist(), neg.tolist()
+    take, added, clash = [], ([], []), False
+    for i in np.lexsort((values, keys, neg)).tolist():
+        k, v, n = ks[i], vs[i], ns[i]
+        side, other = (minus, plus) if n else (plus, minus)
         if k in side:
             clash |= side[k] != v
         elif other.get(k) == v:
             clash = True
         else:
             side[k] = v
-            added.append((k, v))
-    return added, clash
-
-
-def _stage_arrays(added_p: list, added_m: list, g_cache: dict | None) -> tuple:
-    # Recovered keys and values are ints below 2^64: uint64 columns, empty ones too.
-    pairs = added_p + added_m
-    keys, values = _pairs_to_arrays(pairs)
-    signs = np.repeat(np.array([1, -1], dtype=np.int64), (len(added_p), len(added_m)))
-    gvals = None if g_cache is None else np.array([g_cache[k] for k, _ in pairs], dtype=object)
-    return keys, values, signs, gvals
+            take.append(i)
+            added[n].append((k, v))
+    return take, (tuple(added[0]), tuple(added[1])), clash

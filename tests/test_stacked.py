@@ -1,3 +1,4 @@
+import collections
 import inspect
 import math
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 import stacked_iblt
-from stacked_iblt.hashing import KWiseHash, bucket_stream_id
+from stacked_iblt.hashing import KWiseHash, PowerHash, bucket_stream_id
 from stacked_iblt.reconcile import serialize
 from stacked_iblt.stacked import (DEFAULT_BIG_C, MAX_INDEPENDENCE, DecodeOutcome,
                                   Params, StackedSketch, default_independence,
@@ -336,6 +337,50 @@ def test_false_deletions_roundtrip():
     assert out.complete and not out.inconsistent
     assert out.recovered_plus == set(zip(keys[:30].tolist(), vals[:30].tolist()))
     assert out.recovered_minus == set(zip(keys[30:].tolist(), vals[30:].tolist()))
+
+
+@pytest.mark.parametrize("mode", ["plain", "checksum"])
+def test_contradicting_pure_cells_mark_inconsistent(mode):
+    # Two pure cells of the last table disagree on key 5: in plain mode two
+    # count-1 cells with values 7 and 8, in checksum mode the pair (5, 7) as
+    # a +1 cell and as a -1 cell. Only the first (5, 7) is admitted.
+    extra = {"mode": "checksum", "p": 97, "q": 389} if mode == "checksum" else {}
+    s = StackedSketch(Params(n=16, delta=0.25, **extra))
+    tab = s.tables[-1]
+    cells = [(5, 7, 1), (5, 8, 1)] if mode == "plain" else [(5, 7, 1), (-5, -7, -1)]
+    for col, (k, v, c) in enumerate(cells):
+        tab.key_sum[0, col], tab.value_sum[0, col], tab.count[0, col] = k % 2**64, v % 2**64, c
+        if mode == "checksum":
+            tab.hash_sum[0, col] = c * s.checksum.eval(5) % 389
+    out = s.list_entries()
+    assert out.inconsistent
+    assert out.stage_recoveries[-1] == (((5, 7),), ())
+    assert all(stage == ((), ()) for stage in out.stage_recoveries[:-1])
+
+
+def test_checksum_decode_evaluates_each_power_hash_once(monkeypatch):
+    rng = np.random.default_rng(13)
+    s = StackedSketch(Params(n=256, delta=2.0**-8, mode="checksum", master_seed=3))
+    keys, vals = random_pairs(rng, 256)
+    s.insert_arrays(keys, vals)
+    evaluated = collections.Counter()
+    eval_one, eval_batch = PowerHash.eval, PowerHash.eval_batch
+
+    def counted_one(self, key):
+        evaluated[int(key)] += 1
+        return eval_one(self, key)
+
+    def counted_batch(self, ks):
+        # eval_batch computes each distinct key once.
+        evaluated.update(np.unique(np.asarray(ks, dtype=np.uint64)).tolist())
+        return eval_batch(self, ks)
+
+    monkeypatch.setattr(PowerHash, "eval", counted_one)
+    monkeypatch.setattr(PowerHash, "eval_batch", counted_batch)
+    out = s.list_entries()
+    assert out.complete and out.recovered_plus == set(zip(keys.tolist(), vals.tolist()))
+    assert set(keys.tolist()) <= set(evaluated)
+    assert max(evaluated.values()) == 1
 
 
 def test_decode_soundness_redeletion_zero():
