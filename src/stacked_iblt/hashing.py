@@ -19,6 +19,8 @@ pair from a cell whose count merely sums to +-1.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 MERSENNE61 = (1 << 61) - 1
@@ -248,11 +250,11 @@ def coeff_limbs(coeff_matrix: np.ndarray) -> tuple:
         for a in range(0, cm.shape[1], CHUNK_POWERS))
 
 
-def eval_poly_rows(coeff_matrix, keys: np.ndarray, gamma) -> np.ndarray:
+def eval_poly_rows(limbs: tuple, keys: np.ndarray, gamma) -> np.ndarray:
     """Evaluate a stack of polynomials over one key batch.
 
-    coeff_matrix is (rows, k) uint64 with entries below 2^61-1, constant
-    term first, or its `coeff_limbs` form; keys is (n,) uint64 below
+    limbs is the `coeff_limbs` form of a (rows, k) uint64 matrix with
+    entries below 2^61-1, constant term first; keys is (n,) uint64 below
     2^61-1; gamma is one bucket range for every row or a (rows, 1) column
     of per-row ranges, each in [1, 2^61-1). Returns (rows, n) bucket
     indices, row r reduced mod its gamma. This is the one polynomial
@@ -276,7 +278,6 @@ def eval_poly_rows(coeff_matrix, keys: np.ndarray, gamma) -> np.ndarray:
     4. Recombination in uint64: T0 + T1*2^21 + T2*2^42 folded mod
        2^61-1, made canonical once before the reduction mod gamma.
     """
-    limbs = coeff_limbs(coeff_matrix) if isinstance(coeff_matrix, np.ndarray) else coeff_matrix
     k = sum(c.shape[2] for c in limbs) // 3
     out = np.empty((limbs[0].shape[1], keys.size), dtype=np.uint64)
     gamma = np.asarray(gamma, dtype=np.uint64)
@@ -443,8 +444,14 @@ class PowerHash:
         return f"PowerHash(p={self.key_bound}, q={self.modulus})"
 
 
+@functools.lru_cache(maxsize=64)
 def check_power_params(p: int, q: int) -> None:
-    """Raise ValueError unless p < q are both prime."""
+    """Raise ValueError unless p < q are both prime.
+
+    Params, PowerHash and the envelope decoder all meet the same pair, and
+    proving a 128-bit q takes 64 Miller-Rabin rounds, so a valid pair is
+    cached: proven once per process. Rejections raise and are not cached.
+    """
     if not is_prime(p):
         raise ValueError(f"p={p} is not prime")
     if not is_prime(q):

@@ -19,9 +19,10 @@ The payload is the sketch's flat cell store in order, so each direction
 handles it as one record array. delta travels as a binary64 float; every
 derived integer (tau, layout) is recomputed from Params on receipt and
 checked against the 64-bit layout digest, so a drifting recomputation can
-never silently desynchronize peers. The digest is checked before any
-payload is touched. Params bound k (MAX_INDEPENDENCE), which the digest
-does not cover, before the receiver builds any hash. A hash_sum >= q is
+never silently desynchronize peers. A layout too large for the digest's
+u64 fields is refused, and the digest checked, before any payload is
+touched. Params bound k (MAX_INDEPENDENCE), which the digest does not
+cover, before the receiver builds any hash. A hash_sum >= q is
 refused, naming the table of the first such cell.
 """
 
@@ -77,9 +78,9 @@ def serialize(sketch: StackedSketch) -> bytes:
                    dtype=_CHECKSUM_CELL if checksum_mode else _PLAIN_CELL)
     rec["k"], rec["v"], rec["c"] = cells.key_sum, cells.value_sum, cells.count
     if checksum_mode:
-        hs, size = cells.hash_sum, rec.size
-        rec["h0"] = np.fromiter((int(x) & _MASK64 for x in hs), dtype=np.uint64, count=size)
-        rec["h1"] = np.fromiter((int(x) >> 64 for x in hs), dtype=np.uint64, count=size)
+        hs = cells.hash_sum
+        rec["h0"] = (hs & _MASK64).astype(np.uint64)
+        rec["h1"] = (hs >> 64).astype(np.uint64)
     return header + memoryview(rec)     # one copy of the payload, not two
 
 
@@ -104,9 +105,9 @@ def deserialize(data: bytes) -> StackedSketch:
                         p=p_raw if mode_byte else None,
                         q=q if mode_byte else None,
                         master_seed=master_seed)
+        layout = plan_layout(params)
     except ValueError as exc:
         raise EnvelopeError(f"invalid parameters: {exc}") from exc
-    layout = plan_layout(params)
     if layout_digest(layout) != digest:
         raise EnvelopeError("layout digest mismatch")
     cell_dtype = _CHECKSUM_CELL if mode_byte else _PLAIN_CELL

@@ -38,7 +38,7 @@ import numpy as np
 
 from .core import (BasicTable, CHECKSUM_CELL_BYTES, CellStore, Mutations,
                    PLAIN_CELL_BYTES, extract, scatter)
-from .hashing import MERSENNE61, PowerHash, RowStack, is_prime, next_prime_at_least
+from .hashing import MERSENNE61, PowerHash, RowStack, check_power_params, next_prime_at_least
 
 DEFAULT_BIG_C = 8 * math.e
 DEFAULT_C0 = 4.0
@@ -95,8 +95,10 @@ class Params:
     n is the decode-capacity threshold, delta the target failure
     probability. big_c, c0 and k may be pushed below the provable regime
     for experiments; `meets_guarantee` reports whether the configuration
-    is inside it. Checksum mode needs primes p < q; both get defaults
-    (p = 2^61-1, q = smallest prime at the guarantee bound).
+    is inside it. Checksum mode needs primes p < q of at most 64 and 128
+    bits; both get defaults (p = 2^61-1, q = smallest prime at the
+    guarantee bound), and `check_power_params` proves them. Sizes derived
+    from several fields are checked where computed (`tau`, `plan_layout`).
     """
 
     n: int
@@ -147,19 +149,16 @@ class Params:
                 self.n, self.delta, self.big_c, self.p))
         if self.p.bit_length() > 64:
             raise ValueError("p must fit in 64 bits (keys are 64-bit)")
-        if not is_prime(self.p):
-            raise ValueError("p must be prime")
-        if not is_prime(self.q):
-            raise ValueError("q must be prime")
-        if not self.p < self.q:
-            raise ValueError("need p < q")
         if self.q.bit_length() > _MAX_Q_BITS:
             raise ValueError("q must fit in 128 bits")
+        check_power_params(self.p, self.q)
 
     @property
     def tau(self) -> int:
         """Crossover load c0*lg(1/delta), rounded up to a power of two."""
         raw = self.c0 * -math.log2(self.delta)
+        if not raw <= 1 << 63:          # also refuses inf
+            raise ValueError("c0 * lg(1/delta) must be at most 2^63")
         return _pow2_at_least(max(math.ceil(raw), 2))
 
     @property
@@ -205,9 +204,12 @@ class LayoutPlan:
 
 
 def plan_layout(params: Params) -> LayoutPlan:
+    """Table dims for these params; ValueError if a size passes 64 bits."""
     n2 = params.capacity
     tau = params.tau
     c = params.big_c
+    if n2 > 1 << 63 or c * max(n2, tau) >= 2.0**64:
+        raise ValueError("layout sizes must fit in 64 bits")
     dims = []
     if n2 >= tau:
         singles = _ilog2(n2) - _ilog2(tau)

@@ -3,9 +3,12 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from stacked_iblt.hashing import next_prime_at_least
-from stacked_iblt.reconcile import (EnvelopeError, deserialize, layout_digest,
+from stacked_iblt import hashing
+from stacked_iblt.hashing import check_power_params, next_prime_at_least
+from stacked_iblt.reconcile import (_HEADER, EnvelopeError, deserialize, layout_digest,
                                     reconcile_local, serialize, sketch_of)
 from stacked_iblt.stacked import Params, StackedSketch, plan_layout
 
@@ -15,6 +18,8 @@ PLAIN = Params(n=32, delta=2.0**-6, master_seed=11)
 _K_OFF = 7               # struct offset of the u32 k field
 _DELTA_OFF = 27          # struct offset of the f64 delta field
 _DIGEST_OFF = 75         # struct offset of the u64 layout digest
+_HEADER_FIELDS = ("magic", "version", "mode", "k", "n", "master_seed", "delta", "big_c",
+                  "c0", "p", "q", "digest", "balance")
 
 
 def filled(params, n_pairs=20, seed=0):
@@ -130,6 +135,61 @@ def test_oversized_k_rejected_before_allocation():
     blob[_K_OFF:_K_OFF + 4] = struct.pack("<I", 1 << 20)
     with pytest.raises(EnvelopeError, match="invalid parameters"):
         deserialize(bytes(blob))
+
+
+def with_header(blob: bytes, **fields) -> bytes:
+    """blob with the named header fields replaced, the payload kept."""
+    header = dict(zip(_HEADER_FIELDS, _HEADER.unpack_from(blob)))
+    header.update(fields)
+    return _HEADER.pack(*header.values()) + blob[_HEADER.size:]
+
+
+@pytest.mark.parametrize("fields", [
+    {"n": 2**62}, {"big_c": 1e30}, {"c0": 1e300}, {"c0": 1e306, "delta": 2.0**-1000}])
+def test_layout_overflowing_header_rejected(fields):
+    # Each layout has a size of 2^64 or more (or tau overflows a float), so
+    # it cannot even be digested; the header is refused before the payload.
+    blob = with_header(serialize(StackedSketch(Params(n=16, delta=2.0**-4))), **fields)
+    with pytest.raises(EnvelopeError, match="invalid parameters"):
+        deserialize(blob)
+
+
+def _uint(bits: int):
+    return st.integers(0, (1 << bits) - 1)
+
+
+_FUZZ_FIELDS = dict(zip(_HEADER_FIELDS, (
+    st.binary(min_size=4, max_size=4), _uint(16), _uint(8), _uint(32), _uint(64),
+    _uint(64), st.floats(), st.floats(), st.floats(), _uint(64),
+    st.binary(min_size=16, max_size=16), _uint(64), st.integers(-(1 << 63), (1 << 63) - 1))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.fixed_dictionaries({}, optional=_FUZZ_FIELDS), st.binary(max_size=48))
+def test_header_fuzz_raises_only_envelope_error(fields, payload):
+    # Any subset of a checksum envelope's header fields, each replaced by
+    # any value of its struct width, so examples also reach later checks.
+    blob = with_header(serialize(StackedSketch(CHECK)), **fields)
+    try:
+        sketch = deserialize(blob[:_HEADER.size] + payload)
+    except EnvelopeError:
+        return
+    assert isinstance(sketch, StackedSketch)
+
+
+def test_one_primality_proof_per_pair(monkeypatch):
+    # Params, every sketch's PowerHash and the received envelope's Params
+    # all validate (p, q); the 128-bit q is proven once.
+    p, q = 1_000_003, next_prime_at_least(1 << 100)
+    check_power_params.cache_clear()
+    proven = []
+    real = hashing.is_prime
+    monkeypatch.setattr(hashing, "is_prime", lambda n: proven.append(n) or real(n))
+    params = Params(n=16, delta=2.0**-4, mode="checksum", p=p, q=q, master_seed=5)
+    remote, local = sketch_of([(1, 2), (3, 4)], params), sketch_of([(1, 2)], params)
+    assert local.subtract(remote).list_entries().recovered_minus == {(3, 4)}
+    assert reconcile_local([(1, 2)], serialize(remote), params) == ({(3, 4)}, set(), True)
+    assert proven.count(q) == 1
 
 
 def test_digest_covers_layout():
