@@ -11,10 +11,17 @@ the one polynomial kernel. Every row of a stack evaluates the same keys,
 so it computes the powers x^j mod 2^61-1 once per key and turns
 sum_j c[r, j] * x^j into a matrix product: coefficients and powers are
 split into 21-bit limbs, which keeps one float64 GEMM exact, and its
-three limb-shift classes are folded back mod 2^61-1 in uint64. The
-checksum family maps a key x to a^x mod q for a base a drawn once per
+three limb-shift classes are folded back mod 2^61-1 in uint64.
+
+The checksum family maps a key x to a^x mod q for a base a drawn once per
 sketch; it is what lets a table distinguish a cell holding one genuine
-pair from a cell whose count merely sums to +-1.
+pair from a cell whose count merely sums to +-1. The base is fixed and
+keys lie below p < 2^64, so a batch is evaluated by fixed-base windowing
+(Brickell, Gordon, McCurley & Wilson, "Fast Exponentiation with
+Precomputation"; Lim & Lee, "More Flexible Exponentiation with
+Precomputation"): a table of a^(d*2^(8j)) mod q, built once per (a, q)
+and cached, turns each a^x into one lookup per 8-bit window of x and a
+multiply-mod between them.
 """
 
 from __future__ import annotations
@@ -52,6 +59,11 @@ _CLASS_LIMBS = tuple(np.array(v, dtype=np.uint64)[:, None, :, None] for v in (
     [[21, 42, 0], [42, 0, 21], [0, 21, 42]],
     [[2, 2, 0], [2, 0, 0], [0, 0, 0]]))
 
+# Bits per window of the fixed-base power table (`_power_table`): 8-bit
+# windows take at most 8 lookups for a 64-bit key from 256-entry rows.
+_WINDOW_BITS = 8
+_WINDOW_MASK = np.uint64((1 << _WINDOW_BITS) - 1)
+
 # Stream-id namespaces: one master seed drives every draw in a sketch, so
 # each consumer gets its own Philox key half.
 _STREAM_BUCKET = 1
@@ -61,6 +73,23 @@ _STREAM_WITNESS = 3
 
 def _philox(seed: int, stream_id: int) -> np.random.Philox:
     return np.random.Philox(key=np.array([seed & _U64, stream_id & _U64], dtype=np.uint64))
+
+
+def _key_array(keys) -> np.ndarray:
+    """keys as uint64; ValueError unless every key is a non-negative integer.
+
+    A forced uint64 cast would hash 1.7 as key 1 and fail on -1 with
+    OverflowError, so the dtype kind, and the sign of signed input, are
+    checked first. A uint64 array passes with one dtype test.
+    """
+    keys = np.asarray(keys)
+    kind = keys.dtype.kind
+    if kind != "u" and keys.size:
+        if kind != "i":
+            raise ValueError("keys must be integers")
+        if keys.min() < 0:
+            raise ValueError("keys must be non-negative")
+    return keys.astype(np.uint64, copy=False)
 
 
 class SeededStream:
@@ -155,11 +184,11 @@ class KWiseHash:
 
     def eval(self, key: int) -> int:
         """Bucket index in [0, gamma) for a single key."""
-        return int(self.eval_batch(np.array([key], dtype=np.uint64))[0])
+        return int(self.eval_batch(np.array([key]))[0])
 
     def eval_batch(self, keys: np.ndarray) -> np.ndarray:
-        """Bucket indices for a uint64 key array; every key must be < 2^61-1."""
-        keys = np.asarray(keys, dtype=np.uint64)
+        """Bucket indices for an integer key array; every key must be in [0, 2^61-1)."""
+        keys = _key_array(keys)
         if keys.size and int(keys.max()) >= MERSENNE61:
             raise ValueError("key out of hash domain [0, 2^61-1)")
         return self._row.flat_cells(keys.reshape(-1)).reshape(keys.shape)
@@ -390,8 +419,14 @@ def _limb_classes(c: np.ndarray, powers: np.ndarray) -> np.ndarray:
 class PowerHash:
     """Checksum hash x -> a^x mod q with base a drawn uniformly from Z_q*.
 
-    Keys must come from Z_p; p < q and both prime. Exponentiation is
-    square-and-multiply (native pow), so q may exceed machine width.
+    Keys must come from Z_p; p < q and both prime, q up to any width (the
+    arithmetic is on Python ints). `eval` is the definition, builtin
+    `pow`, and stays so: it is the oracle the batch path is tested
+    against, and the reference decoder calls it. `eval_batch` reads each
+    distinct key's 8-bit windows from `_power_table(a, q, p.bit_length())`,
+    shared by every hash with the same (a, q) and built once per process,
+    so a key costs one lookup per window and a multiply-mod between them
+    (at most 8 lookups for 64-bit p) instead of about 61 squarings.
     """
 
     __slots__ = ("base", "modulus", "key_bound")
@@ -422,12 +457,15 @@ class PowerHash:
 
     def eval_batch(self, keys) -> np.ndarray:
         """Object array of a^key mod q; repeated keys are computed once."""
-        keys = np.asarray(keys, dtype=np.uint64)
-        uniq, inverse = np.unique(keys, return_inverse=True)
+        uniq, inverse = np.unique(_key_array(keys), return_inverse=True)
         if uniq.size and int(uniq[-1]) >= self.key_bound:
             raise ValueError("checksum key out of domain [0, p)")
-        vals = np.array([pow(self.base, int(k), self.modulus) for k in uniq], dtype=object)
-        return vals[inverse]
+        q = self.modulus
+        table = _power_table(self.base, q, self.key_bound.bit_length())
+        acc = table[0][uniq & _WINDOW_MASK]
+        for j in range(1, len(table)):
+            acc = acc * table[j][(uniq >> np.uint64(_WINDOW_BITS * j)) & _WINDOW_MASK] % q
+        return acc[inverse]
 
     def __eq__(self, other) -> bool:
         return (
@@ -442,6 +480,29 @@ class PowerHash:
 
     def __repr__(self):
         return f"PowerHash(p={self.key_bound}, q={self.modulus})"
+
+
+@functools.lru_cache(maxsize=16)
+def _power_table(base: int, q: int, bits: int) -> np.ndarray:
+    """Read-only (ceil(bits/8), 256) object array: T[j][d] = base^(d*2^(8j)) mod q.
+
+    For x < 2^bits with 8-bit windows x_j, base^x = prod_j T[j][x_j] mod q.
+    Row j is 255 running products of g_j = base^(2^(8j)), and g_(j+1) is
+    one more, so the table costs 256 multiply-mods per row and no `pow`.
+    Every hash with the same (base, q), and so every sketch of one Params,
+    shares one cached table (about 2k ints of q's width for 64-bit keys);
+    it is read-only because every caller gets the same object.
+    """
+    width = 1 << _WINDOW_BITS
+    table = np.empty((-(-bits // _WINDOW_BITS), width), dtype=object)
+    g = base
+    for row in table:
+        row[0] = acc = 1
+        for d in range(1, width):
+            row[d] = acc = acc * g % q
+        g = acc * g % q
+    table.flags.writeable = False
+    return table
 
 
 @functools.lru_cache(maxsize=64)

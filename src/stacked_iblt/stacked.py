@@ -112,8 +112,8 @@ class Params:
     master_seed: int = 0
 
     def __post_init__(self):
-        for name in ("n", "k", "master_seed"):
-            if name != "k" or self.k is not None:
+        for name in ("n", "k", "master_seed", "p", "q"):
+            if name in ("n", "master_seed") or getattr(self, name) is not None:
                 try:
                     object.__setattr__(self, name, operator.index(getattr(self, name)))
                 except TypeError:

@@ -4,12 +4,14 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stacked_iblt import hashing
 from stacked_iblt.cli import bad_base_count, is_identity_multiset
 from stacked_iblt.hashing import (MERSENNE61, KWiseHash, PowerHash,
                                   SeededStream, _field_elements,
                                   bucket_stream_id, coeff_limbs,
                                   eval_poly_rows, is_prime,
                                   next_prime_at_least)
+from stacked_iblt.stacked import Params
 
 
 def horner_oracle(coeffs, x, mod):
@@ -75,6 +77,7 @@ def test_eval_property_vs_oracle(seed, k, gamma, keys):
     got = h.eval_batch(np.array(keys, dtype=np.uint64))
     want = [horner_oracle(h.coefficients, x, MERSENNE61) % gamma for x in keys]
     assert got.tolist() == want
+    assert h.eval_batch(np.array(keys, dtype=np.int64)).tolist() == want
 
 
 def test_eval_poly_rows_matches_oracle():
@@ -164,6 +167,8 @@ def test_eval_rejects_out_of_domain_key():
     h = KWiseHash(0, 2, 8)
     with pytest.raises(ValueError):
         h.eval(MERSENNE61)
+    with pytest.raises(ValueError):
+        h.eval(1.7)                     # not truncated to key 1
 
 
 def test_bad_ranges_rejected():
@@ -240,6 +245,8 @@ def test_power_batch_matches_scalar():
     g = PowerHash(3, 97, 389)
     keys = np.array([0, 1, 5, 96, 5, 0], dtype=np.uint64)
     assert g.eval_batch(keys).tolist() == [g.eval(int(k)) for k in keys]
+    # Signed arrays of non-negative keys are taken as they are.
+    assert g.eval_batch(keys.astype(np.int64)).tolist() == g.eval_batch(keys).tolist()
 
 
 def test_power_homomorphism():
@@ -249,6 +256,85 @@ def test_power_homomorphism():
         x = int(rng.integers(0, 97))
         y = int(rng.integers(0, 97 - x))
         assert g.eval(x) * g.eval(y) % 389 == g.eval(x + y)
+
+
+# -- fixed-base power table ---------------------------------------------------
+
+_DEFAULT_CHECKSUM = Params(n=256, delta=2.0**-10, mode="checksum")
+# (p, q) pairs from one window up to a 64-bit p with a 128-bit q; bits of p, q:
+_POWER_PAIRS = [
+    (5, 11),                                        # 3, 4
+    (97, 389),                                      # 7, 9
+    (MERSENNE61, 2**89 - 1),                        # 61, 89
+    (_DEFAULT_CHECKSUM.p, _DEFAULT_CHECKSUM.q),     # 61, 106
+    (2**64 - 59, next_prime_at_least(2**127)),      # 64, 128
+]
+
+
+@pytest.mark.parametrize("p,q", _POWER_PAIRS)
+def test_power_table_matches_pow_at_window_edges(p, q):
+    # 0, 1, p-1 and both sides of every window boundary 2^(8j) below p.
+    edges = {(1 << 8 * j) - d for j in range(1, 9) for d in (0, 1)}
+    keys = sorted(k for k in edges | {0, 1, p - 1} if k < p)
+    for base in (1, 2, q - 1, PowerHash(7, p, q).base):
+        g = PowerHash.with_base(base, p, q)
+        got = g.eval_batch(np.array(keys, dtype=np.uint64))
+        assert got.dtype == object
+        assert got.tolist() == [pow(base, k, q) for k in keys]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_power_table_matches_pow_property(data):
+    p, q = data.draw(st.sampled_from(_POWER_PAIRS))
+    base = data.draw(st.integers(1, q - 1))
+    keys = data.draw(st.lists(st.integers(0, p - 1), max_size=40))
+    g = PowerHash.with_base(base, p, q)
+    got = g.eval_batch(np.array(keys, dtype=np.uint64))
+    assert got.tolist() == [pow(base, k, q) for k in keys]
+
+
+def test_power_batch_empty():
+    g = PowerHash(3, 97, 389)
+    for keys in ([], np.array([], dtype=np.uint64)):
+        out = g.eval_batch(keys)
+        assert out.dtype == object and out.shape == (0,)
+
+
+def test_power_batch_checks_keys_before_table_work(monkeypatch):
+    def no_table(*args):
+        raise AssertionError("table looked up for a rejected batch")
+
+    monkeypatch.setattr(hashing, "_power_table", no_table)
+    g = PowerHash.with_base(3, 97, 389)
+    for keys in ([97], np.array([0, 5, 2**64 - 1], dtype=np.uint64), [1.7], [-1]):
+        with pytest.raises(ValueError):
+            g.eval_batch(keys)
+
+
+def test_power_table_rows_and_read_only():
+    # Every caller shares the cached table, so it must not be writable.
+    table = hashing._power_table(3, 389, 20)
+    assert table.shape == (3, 256) and not table.flags.writeable
+    assert table.tolist() == [[pow(3, d << 8 * j, 389) for d in range(256)] for j in range(3)]
+
+
+@pytest.mark.parametrize("keys", [
+    [1.7], np.array([0.0, 2.0]), [-1], np.array([3, -2], dtype=np.int8),
+    np.array([True]), np.array([4], dtype=object)])
+def test_hash_families_reject_non_integer_keys(keys):
+    # A uint64 cast would hash 1.7 as 1 and overflow on -1.
+    for h in (PowerHash.with_base(3, 97, 389), KWiseHash(0, 4, 10)):
+        with pytest.raises(ValueError):
+            h.eval_batch(keys)
+
+
+def test_power_batch_rejects_negative_key_that_wraps_into_domain():
+    # With a 64-bit p, -100 cast to uint64 is 2^64-100 < p: a valid key.
+    p, q = _POWER_PAIRS[-1]
+    assert (1 << 64) - 100 < p
+    with pytest.raises(ValueError):
+        PowerHash.with_base(3, p, q).eval_batch(np.array([-100]))
 
 
 # -- false-verification base counting ----------------------------------------

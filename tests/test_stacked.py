@@ -93,11 +93,15 @@ def test_default_k_for_subnormal_delta():
 
 @pytest.mark.parametrize("field,value,want", [
     ("n", np.int64(256), 256), ("k", np.int32(8), 8), ("master_seed", np.uint64(5), 5),
-    ("n", 2.5, None), ("n", "256", None), ("k", 8.0, None), ("master_seed", 1.5, None)])
+    ("n", 2.5, None), ("n", "256", None), ("k", 8.0, None), ("master_seed", 1.5, None),
+    ("p", np.int64(5), 5), ("q", np.uint64(11), 11),
+    ("p", 5.0, None), ("q", 11.0, None), ("p", "5", None)])
 def test_params_integer_fields(field, value, want):
-    # n, k and master_seed are normalized to int; anything not an integer
-    # is refused up front, not deep inside hashing.
+    # n, k, master_seed, p and q are normalized to int; anything not an
+    # integer is refused up front, not deep inside hashing.
     kwargs = {"n": 256, "delta": 0.25, field: value}
+    if field in ("p", "q"):
+        kwargs = {"mode": "checksum", "p": 5, "q": 11, **kwargs}
     if want is None:
         with pytest.raises(ValueError, match=f"{field} must be an integer"):
             Params(**kwargs)
@@ -381,6 +385,44 @@ def test_checksum_decode_evaluates_each_power_hash_once(monkeypatch):
     assert out.complete and out.recovered_plus == set(zip(keys.tolist(), vals.tolist()))
     assert set(keys.tolist()) <= set(evaluated)
     assert max(evaluated.values()) == 1
+
+
+def test_checksum_sketch_never_calls_pow(monkeypatch):
+    # Mutations and the decode take every power hash from the fixed-base
+    # table; builtin pow is only PowerHash.eval, the oracle. The cache is
+    # cleared so the table itself is built under the patch too.
+    rng = np.random.default_rng(21)
+    s = StackedSketch(Params(n=256, delta=2.0**-8, mode="checksum", master_seed=5))
+    keys, vals = random_pairs(rng, 256)
+
+    def no_pow(*args):
+        raise AssertionError("builtin pow called")
+
+    stacked_iblt.hashing._power_table.cache_clear()
+    monkeypatch.setattr(stacked_iblt.hashing, "pow", no_pow, raising=False)
+    with pytest.raises(AssertionError):
+        s.checksum.eval(1)              # the patch reaches the module
+    s.insert_arrays(keys[:200], vals[:200])
+    s.delete_pairs(zip(keys[200:].tolist(), vals[200:].tolist()))
+    out = s.list_entries()
+    assert out.complete and not out.inconsistent
+    assert out.recovered_plus == set(zip(keys[:200].tolist(), vals[:200].tolist()))
+    assert out.recovered_minus == set(zip(keys[200:].tolist(), vals[200:].tolist()))
+
+
+def test_sketches_of_one_params_share_power_table():
+    params = Params(n=64, delta=2.0**-6, mode="checksum", master_seed=9)
+    table = stacked_iblt.hashing._power_table
+    table.cache_clear()
+    tables = []
+    for _ in range(2):
+        s = StackedSketch(params)
+        s.insert([(3, 4), (5, 6)])
+        assert s.list_entries().recovered_plus == {(3, 4), (5, 6)}
+        g = s.checksum
+        tables.append(table(g.base, g.modulus, g.key_bound.bit_length()))
+    assert tables[0] is tables[1]
+    assert table.cache_info().misses == 1
 
 
 def test_decode_soundness_redeletion_zero():
