@@ -451,9 +451,12 @@ class PowerHash:
         return obj
 
     def eval(self, key: int) -> int:
+        # A bool is an int to `pow`; like eval_batch, refuse it and non-integers.
+        if isinstance(key, (bool, np.bool_)) or not isinstance(key, (int, np.integer)):
+            raise ValueError("checksum keys must be integers")
         if not 0 <= key < self.key_bound:
             raise ValueError("checksum key out of domain [0, p)")
-        return pow(self.base, key, self.modulus)
+        return pow(self.base, int(key), self.modulus)
 
     def eval_batch(self, keys) -> np.ndarray:
         """Object array of a^key mod q; repeated keys are computed once."""

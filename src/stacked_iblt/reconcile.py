@@ -16,8 +16,13 @@ Envelope layout (all little-endian)::
     key_sum u64 | value_sum u64 | count i64 | hash_sum u128 (checksum mode)
 
 The payload is the sketch's flat cell store in order, so each direction
-handles it as one record array. delta travels as a binary64 float; every
-derived integer (tau, layout) is recomputed from Params on receipt and
+handles it as one record array. In memory a hash_sum is four int64 lanes
+of 32-bit limbs, unreduced (`core.CellStore`): `serialize` reduces them
+once, with `CellStore.residues`, and packs limb pairs into the h0 and h1
+words; `deserialize` splits the words back into lanes with uint64 shifts
+and masks. Neither holds a Python int per cell.
+
+delta travels as a binary64 float; every derived integer (tau, layout) is recomputed from Params on receipt and
 checked against the 64-bit layout digest, so a drifting recomputation can
 never silently desynchronize peers. A layout too large for the digest's
 u64 fields is refused, and the digest checked, before any payload is
@@ -48,6 +53,7 @@ _CHECKSUM_CELL = np.dtype([("k", "<u8"), ("v", "<u8"), ("c", "<i8"),
                            ("h0", "<u8"), ("h1", "<u8")])
 
 _MASK64 = (1 << 64) - 1
+_LOW32, _32 = np.uint64(0xFFFFFFFF), np.uint64(32)
 
 
 class EnvelopeError(ValueError):
@@ -78,9 +84,9 @@ def serialize(sketch: StackedSketch) -> bytes:
                    dtype=_CHECKSUM_CELL if checksum_mode else _PLAIN_CELL)
     rec["k"], rec["v"], rec["c"] = cells.key_sum, cells.value_sum, cells.count
     if checksum_mode:
-        hs = cells.hash_sum
-        rec["h0"] = (hs & _MASK64).astype(np.uint64)
-        rec["h1"] = (hs >> 64).astype(np.uint64)
+        r = cells.residues().view(np.uint64)   # canonical limbs: non-negative
+        rec["h0"] = r[0] | (r[1] << _32)
+        rec["h1"] = r[2] | (r[3] << _32)
     return header + memoryview(rec)     # one copy of the payload, not two
 
 
@@ -131,7 +137,9 @@ def deserialize(data: bytes) -> StackedSketch:
     cells = sketch._cells       # written in place: the tables view it
     cells.key_sum[:], cells.value_sum[:], cells.count[:] = rec["k"], rec["v"], rec["c"]
     if mode_byte:
-        cells.hash_sum[:] = h0.astype(object) + (h1.astype(object) << 64)
+        lanes = cells.hash_sum      # canonical limbs, within the fresh store's bound
+        lanes[0], lanes[1] = h0 & _LOW32, h0 >> _32
+        lanes[2], lanes[3] = h1 & _LOW32, h1 >> _32
     return sketch
 
 

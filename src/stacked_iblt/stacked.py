@@ -6,7 +6,7 @@ ceil(C*n*2^-i) columns while the expected remaining load stays above tau,
 then groups of 2^i rows with ceil(C*tau*2^-i) columns.
 
 Store: the cells of all tables live in one flat `CellStore`, table after
-table, each table row-major; every table's grids are views of its
+table, each table row-major; every table's plain grids are views of its
 segment. Hashing is stacked the same way: the bucket polynomials of all
 R rows are one `RowStack`, drawn at construction from the master seed
 (row r of table t from stream `bucket_stream_id(t, r)`) into one (R, k)
@@ -36,15 +36,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (BasicTable, CHECKSUM_CELL_BYTES, CellStore, Mutations,
+from .core import (BasicTable, CHECKSUM_CELL_BYTES, CellStore, MAX_Q_BITS, Mutations,
                    PLAIN_CELL_BYTES, extract, scatter)
 from .hashing import MERSENNE61, PowerHash, RowStack, check_power_params, next_prime_at_least
 
 DEFAULT_BIG_C = 8 * math.e
 DEFAULT_C0 = 4.0
 DEFAULT_KEY_PRIME = MERSENNE61          # 2^61-1 is itself prime
-
-_MAX_Q_BITS = 128                       # serialized hash_sum field width
 
 # Largest accepted hash independence. Every default k is at most 2176
 # (n < 2^64, delta >= 2^-1074); the bound keeps an untrusted k from sizing
@@ -70,12 +68,12 @@ def checksum_modulus_bound(n: int, delta: float, big_c: float, p: int) -> int:
 @functools.lru_cache(maxsize=64)
 def default_checksum_modulus(n: int, delta: float, big_c: float, p: int) -> int:
     bound = checksum_modulus_bound(n, delta, big_c, p)
-    if bound.bit_length() > _MAX_Q_BITS:
+    if bound.bit_length() > MAX_Q_BITS:
         raise ValueError(
             "guarantee bound for q exceeds 128 bits at these parameters; "
             "pass an explicit q")
     q = next_prime_at_least(max(bound, p + 1) | 1)
-    if q.bit_length() > _MAX_Q_BITS:
+    if q.bit_length() > MAX_Q_BITS:
         raise ValueError("no 128-bit prime at or above the q bound; pass an explicit q")
     return q
 
@@ -149,7 +147,7 @@ class Params:
                 self.n, self.delta, self.big_c, self.p))
         if self.p.bit_length() > 64:
             raise ValueError("p must fit in 64 bits (keys are 64-bit)")
-        if self.q.bit_length() > _MAX_Q_BITS:
+        if self.q.bit_length() > MAX_Q_BITS:
             raise ValueError("q must fit in 128 bits")
         check_power_params(self.p, self.q)
 
@@ -307,7 +305,7 @@ class StackedSketch(Mutations):
             raise ValueError("sketch params differ; subtraction undefined")
         if not (self._seeded and other._seeded):
             raise ValueError("cannot subtract sketches built with injected hashes")
-        return self._derive(self._cells.minus(other._cells, self.checksum),
+        return self._derive(self._cells.minus(other._cells),
                             self.item_balance - other.item_balance)
 
     def list_entries(self, in_place: bool = False) -> DecodeOutcome:
@@ -327,15 +325,17 @@ class StackedSketch(Mutations):
         inconsistent = False
         stage_new: list[tuple[tuple, tuple]] = []
         for tab in work.tables:
-            keys, values, signs, gvals = extract(tab._cells, work.checksum)
+            keys, values, signs, glanes = extract(tab._cells, work.checksum)
             take, added, clash = _admit(keys, values, signs, plus, minus)
             inconsistent |= clash
             stage_new.append(added)
             if take:
                 # Extraction keeps keys in the domain, so the scatter is trusted.
                 keys = keys[take]
+                if glanes is not None:
+                    glanes = glanes[:, take]
                 scatter(work._cells, work.checksum, work._stack.flat_cells(keys), keys,
-                        values[take], -signs[take], None if gvals is None else gvals[take])
+                        values[take], -signs[take], glanes)
         return DecodeOutcome(
             recovered_plus=set(plus.items()),
             recovered_minus=set(minus.items()),

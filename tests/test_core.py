@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stacked_iblt.core import BasicTable
+from stacked_iblt.core import BasicTable, to_lanes
 from stacked_iblt.hashing import KWiseHash, PowerHash
 from stacked_iblt.stacked import Params, StackedSketch
 
@@ -205,10 +205,12 @@ def test_garbage_cell_rarely_verifies():
         t.key_sum[0, 0] = key_sum
         t.value_sum[0, 0] = 9
         t.count[0, 0] = 1
-        t.hash_sum[0, 0] = (g.eval(k1) + g.eval(k2) - g.eval(k3)) % q
+        # The grid is read-only; the cell is written through the store's lanes.
+        t._cells.hash_sum[:, 0] = to_lanes([(g.eval(k1) + g.eval(k2) - g.eval(k3)) % q])[:, 0]
         plus, minus = t.list_entries()
         accepted += bool(plus or minus)
     assert accepted <= 2 * 3 * p + 1
+    assert accepted >= 1            # base 1 satisfies every identity
 
 
 def test_extraction_skips_out_of_domain_keysum():

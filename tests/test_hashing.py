@@ -329,6 +329,16 @@ def test_hash_families_reject_non_integer_keys(keys):
             h.eval_batch(keys)
 
 
+def test_power_eval_rejects_non_integer_keys():
+    # pow would raise TypeError on 1.7 and take True as key 1.
+    g = PowerHash.with_base(3, 97, 389)
+    for key in (1.7, 2.0, True, np.bool_(True), np.float64(4.0), "5", None):
+        with pytest.raises(ValueError, match="integers"):
+            g.eval(key)
+    assert g.eval(np.uint64(5)) == g.eval(5) == pow(3, 5, 389)
+    assert g.eval(np.int8(7)) == pow(3, 7, 389)
+
+
 def test_power_batch_rejects_negative_key_that_wraps_into_domain():
     # With a 64-bit p, -100 cast to uint64 is 2^64-100 < p: a valid key.
     p, q = _POWER_PAIRS[-1]

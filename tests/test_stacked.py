@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import stacked_iblt
+from stacked_iblt.core import to_lanes
 from stacked_iblt.hashing import KWiseHash, PowerHash, bucket_stream_id
 from stacked_iblt.reconcile import serialize
 from stacked_iblt.stacked import (DEFAULT_BIG_C, MAX_INDEPENDENCE, DecodeOutcome,
@@ -355,7 +356,7 @@ def test_contradicting_pure_cells_mark_inconsistent(mode):
     for col, (k, v, c) in enumerate(cells):
         tab.key_sum[0, col], tab.value_sum[0, col], tab.count[0, col] = k % 2**64, v % 2**64, c
         if mode == "checksum":
-            tab.hash_sum[0, col] = c * s.checksum.eval(5) % 389
+            tab._cells.hash_sum[:, col] = to_lanes([c * s.checksum.eval(5) % 389])[:, 0]
     out = s.list_entries()
     assert out.inconsistent
     assert out.stage_recoveries[-1] == (((5, 7),), ())
