@@ -22,12 +22,16 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from .core import CHECKSUM_CELL_BYTES, PLAIN_CELL_BYTES, key_bound
-from .hashing import KWiseHash, SeededStream, check_power_params
+from .hashing import RowStack, SeededStream, check_power_params, eval_poly_rows
 from .reconcile import reconcile_local, serialize, sketch_of
 from .stacked import DEFAULT_BIG_C, DEFAULT_C0, Params, StackedSketch, plan_layout
 
 _TRIAL_STREAM = 0x10 << 56      # per-trial hash draws
 _SEED_STREAM = 0x11 << 56       # per-trial derived master seeds
+
+# unique-hash trials per row stack: the keys' powers are computed once per
+# chunk, and 256 trials of 512 keys make a 1 MB bucket matrix.
+_TRIAL_CHUNK = 256
 
 
 def _parse_delta(text: str) -> float:
@@ -98,10 +102,15 @@ def _distinct_keys(rng: np.random.Generator, size: int, bound: int) -> np.ndarra
 
 # -- unique-hash -------------------------------------------------------------
 
-def _non_unique_count(buckets: np.ndarray) -> int:
-    """How many keys share their bucket with at least one other key."""
-    counts = np.unique(buckets, return_counts=True)[1]
-    return int(counts[counts > 1].sum())
+def _non_unique_count(buckets: np.ndarray):
+    """How many keys share their bucket with at least one other key, per row
+    of the last axis: an element is shared when a sorted neighbour equals it."""
+    s = np.sort(buckets, axis=-1)
+    same = s[..., 1:] == s[..., :-1]
+    shared = np.zeros(s.shape, dtype=bool)
+    shared[..., 1:] = same
+    shared[..., :-1] |= same
+    return shared.sum(axis=-1)
 
 
 def cmd_unique_hash(args) -> int:
@@ -109,13 +118,17 @@ def cmd_unique_hash(args) -> int:
     gamma = math.ceil(big_c * n)
     keys = np.arange(n, dtype=np.uint64)
 
-    def one(trial: int) -> tuple[int, int]:
-        # Fresh 2k-wise family member per trial: degree 2k-1 polynomial.
-        h = KWiseHash(seed, 2 * k, gamma, stream_id=_TRIAL_STREAM | trial)
-        bad = _non_unique_count(h.eval_batch(keys))
-        return bad, int(bad > n / 2)
+    def chunk(c: int) -> list[tuple[int, int]]:
+        # Fresh 2k-wise family member per trial, a degree 2k-1 polynomial:
+        # row i of the chunk's stack is KWiseHash(seed, 2k, gamma,
+        # stream_id=_TRIAL_STREAM | trial).
+        chunk_trials = range(c * _TRIAL_CHUNK, min(trials, (c + 1) * _TRIAL_CHUNK))
+        stack = RowStack.from_streams(seed, 2 * k, [_TRIAL_STREAM | t for t in chunk_trials],
+                                      [gamma] * len(chunk_trials))
+        bad = _non_unique_count(eval_poly_rows(stack.limbs, keys, stack.gamma)).tolist()
+        return [(b, int(b > n / 2)) for b in bad]
 
-    results = _run_trials(one, trials)
+    results = [r for part in _run_trials(chunk, -(-trials // _TRIAL_CHUNK)) for r in part]
     failures = sum(f for _, f in results)
     bound = 4.0 * (4.0 * math.e / big_c) ** min(k, n / big_c) if big_c > 4 * math.e else None
     lines = [_params_line("unique-hash", n=n, big_c=big_c, k=k, trials=trials, seed=seed),

@@ -11,7 +11,11 @@ the one polynomial kernel. Every row of a stack evaluates the same keys,
 so it computes the powers x^j mod 2^61-1 once per key and turns
 sum_j c[r, j] * x^j into a matrix product: coefficients and powers are
 split into 21-bit limbs, which keeps one float64 GEMM exact, and its
-three limb-shift classes are folded back mod 2^61-1 in uint64.
+three limb-shift classes are folded back mod 2^61-1 in uint64. Per block
+of 256 keys that is ceil(log2(k)) - 1 vectorized multiply-mods for the
+powers (6 at k = 40, over k - 2 rows in all) and one GEMM. Values stay
+below 2^61 + 8, congruent but not reduced, until one canonical step
+before the reduction mod each row's bucket range.
 
 The checksum family maps a key x to a^x mod q for a base a drawn once per
 sketch; it is what lets a table distinguish a cell holding one genuine
@@ -42,15 +46,15 @@ BLOCK_KEYS = 256
 # mod 2^61-1.
 CHUNK_POWERS = 512
 
-_M61 = np.uint64(MERSENNE61)
-_M21 = np.uint64((1 << 21) - 1)
-_LOW32 = np.uint64(0xFFFFFFFF)
-_S3, _S19, _S21, _S29, _S32, _S40, _S42, _S61 = (
-    np.uint64(s) for s in (3, 19, 21, 29, 32, 40, 42, 61))
+# Kernel constants are 0-d arrays: a ufunc takes them like numpy scalars,
+# with the same result dtype, but converts them in about 0.6 us less per
+# call, and a 256-key block makes about 150 calls.
+_M61, _M21, _M31 = (np.array(v, dtype=np.uint64)
+                    for v in (MERSENNE61, (1 << 21) - 1, (1 << 31) - 1))
+_S21, _S30, _S31, _S40, _S61 = (np.array(v, dtype=np.uint64) for v in (21, 30, 31, 40, 61))
+_I21, _I42, _IM21 = (np.array(v, dtype=np.int64) for v in (21, 42, (1 << 21) - 1))
 _U64 = 0xFFFFFFFFFFFFFFFF
 
-# The power limbs stacked as Y = [X2; X1; X0], by the right shift of each.
-_Y_SHIFT = np.array([42, 21, 0], dtype=np.uint64)[:, None, None]
 # Class t's coefficient limb against X2, X1, X0 (see `_limb_classes`), as
 # the right shift that selects the limb and the left shift that scales it
 # by 4 or 1:
@@ -163,23 +167,16 @@ class KWiseHash:
             raise ValueError("independence k must be >= 1")
         self._init_fields(_field_elements(_philox(seed, stream_id), k), gamma)
 
-    def _init_fields(self, coeffs: np.ndarray, gamma: int) -> None:
-        if not 1 <= gamma < MERSENNE61:
-            raise ValueError("bucket range must satisfy 1 <= gamma < 2^61-1")
-        self._row = RowStack(coeffs[None, :], [gamma])
-        self.independence, self.gamma = coeffs.size, gamma
-        self.coefficients = tuple(coeffs.tolist())
+    def _init_fields(self, coeffs, gamma: int) -> None:
+        self._row = RowStack([coeffs], [gamma])     # validates both
+        self.independence, self.gamma = self._row.coefficients.shape[1], gamma
+        self.coefficients = tuple(self._row.coefficients[0].tolist())
 
     @classmethod
     def from_coefficients(cls, coeffs, gamma: int) -> "KWiseHash":
         """Build directly from field elements c_0..c_(k-1) (constant first)."""
-        coeffs = [int(c) for c in coeffs]
-        if not coeffs:
-            raise ValueError("need at least one coefficient")
-        if any(not 0 <= c < MERSENNE61 for c in coeffs):
-            raise ValueError("coefficients must lie in [0, 2^61-1)")
         obj = cls.__new__(cls)
-        obj._init_fields(np.array(coeffs, dtype=np.uint64), gamma)
+        obj._init_fields([int(c) for c in coeffs], gamma)
         return obj
 
     def eval(self, key: int) -> int:
@@ -214,14 +211,19 @@ class RowStack:
     constant term first; `gamma` the (R, 1) column of per-row bucket
     ranges, each in [1, 2^61-1); `offsets` the (R, 1) column of each row's
     first cell in a flat store of the rows back to back, `gamma` cells
-    each; `limbs` the matrix's `coeff_limbs` form, built once.
+    each; `limbs` the matrix's `coeff_limbs` form, built once. The
+    constructor raises ValueError for anything else: `eval_poly_rows` is
+    exact only for field elements, and a zero range has no bucket.
     """
 
     __slots__ = ("coefficients", "gamma", "offsets", "limbs")
 
     def __init__(self, coefficients, gamma):
-        cm = np.array(coefficients, dtype=np.uint64)
-        self._init_fields(cm, np.array(gamma, dtype=np.uint64).reshape(-1, 1), coeff_limbs(cm))
+        cm = _field_array(coefficients, 0, "coefficients must lie in [0, 2^61-1)")
+        g = _field_array(gamma, 1, "bucket range must satisfy 1 <= gamma < 2^61-1")
+        if cm.ndim != 2 or cm.shape[1] < 1 or g.shape != cm.shape[:1]:
+            raise ValueError("need an (R, k) coefficient matrix, k >= 1, and R bucket ranges")
+        self._init_fields(cm, g.reshape(-1, 1), coeff_limbs(cm))
 
     def _init_fields(self, cm: np.ndarray, gamma: np.ndarray, limbs: tuple) -> None:
         offsets = np.cumsum(gamma, dtype=np.uint64).reshape(-1, 1) - gamma
@@ -237,11 +239,16 @@ class RowStack:
         stream_id=bucket_stream_id(t, r)) draws, word for word.
         """
         counts = [rows for rows, _ in dims]
-        cm = np.empty((sum(counts), k), dtype=np.uint64)
-        streams = (bucket_stream_id(t, r) for t, rows in enumerate(counts) for r in range(rows))
-        for i, stream_id in enumerate(streams):
+        streams = [bucket_stream_id(t, r) for t, rows in enumerate(counts) for r in range(rows)]
+        return cls.from_streams(seed, k, streams, np.repeat([cols for _, cols in dims], counts))
+
+    @classmethod
+    def from_streams(cls, seed: int, k: int, stream_ids, gamma) -> "RowStack":
+        """Row i is what KWiseHash(seed, k, gamma[i], stream_id=stream_ids[i]) draws."""
+        cm = np.empty((len(stream_ids), k), dtype=np.uint64)
+        for i, stream_id in enumerate(stream_ids):
             cm[i] = _field_elements(_philox(seed, stream_id), k)
-        return cls(cm, np.repeat([cols for _, cols in dims], counts))
+        return cls(cm, gamma)
 
     def segment(self, start: int, stop: int) -> "RowStack":
         """Rows [start, stop), sharing this stack's arrays; offsets restart at 0."""
@@ -260,6 +267,14 @@ class RowStack:
         return (isinstance(other, RowStack)
                 and np.array_equal(self.gamma, other.gamma)
                 and np.array_equal(self.coefficients, other.coefficients))
+
+
+def _field_array(values, low: int, message: str) -> np.ndarray:
+    """values as a uint64 copy; ValueError(message) unless all are integers in [low, 2^61-1)."""
+    a = np.asarray(values)
+    if a.dtype.kind not in "iu" or (a.size and (a.min() < low or a.max() >= MERSENNE61)):
+        raise ValueError(message)
+    return a.astype(np.uint64)
 
 
 def coeff_limbs(coeff_matrix: np.ndarray) -> tuple:
@@ -291,98 +306,155 @@ def eval_poly_rows(limbs: tuple, keys: np.ndarray, gamma) -> np.ndarray:
     KWiseHash.eval_batch one row.
 
     Keys go in blocks of BLOCK_KEYS, so temporaries are bounded by
-    (3*rows or 3*k) x BLOCK_KEYS whatever the batch size. Per block:
-    1. Powers: P[j] = x^j mod 2^61-1 for j < k, canonical, by doubling
-       (P[b:2b] = P[:b] * x^b), so about 2*log2(k) vectorized
-       multiply-mods, none wider than (k, BLOCK_KEYS).
+    (3*rows or 3*k) x BLOCK_KEYS whatever the batch size. Values stay
+    below 2^61 + 8, congruent mod 2^61-1 but not canonical, until the
+    last step. Per block:
+    1. Powers: P[j] == x^j mod 2^61-1 for j < k, each below 2^61 + 4, by
+       doubling (P[b+1 : 2b+1] = P[1 : b+1] * x^b), so one vectorized
+       multiply-mod (`_mulmod61`) per level: ceil(log2(k)) - 1 of them,
+       none wider than (k/2, BLOCK_KEYS).
     2. Limbs: powers split like the coefficients, x^j = X0 + X1*2^21 +
-       X2*2^42 with X0, X1 < 2^21 and X2 < 2^19.
+       X2*2^42 with X0, X1 < 2^21 and X2 <= 2^19, and converted to
+       float64 through int64, which numpy vectorizes.
     3. Class sums: the limb products C_a X_b fall into shift classes
        a+b = 0..4; as 2^63 == 4 (mod 2^61-1), classes 3 and 4 wrap onto
        0 and 1 with 4*C_a, leaving three sums T0, T1, T2 of weight 1,
        2^21 and 2^42, all from one float64 GEMM. It is exact (bound in
        `_limb_classes`), so the result does not depend on summation order
        or BLAS thread count. For k > CHUNK_POWERS the columns go in
-       chunks, summed mod 2^61-1.
-    4. Recombination in uint64: T0 + T1*2^21 + T2*2^42 folded mod
-       2^61-1, made canonical once before the reduction mod gamma.
+       chunks, each chunk's sum added to the folded running sum.
+    4. Recombination in place, in the int64 class sums read as uint64
+       (bound in `_limb_classes`), one fold mod 2^61-1 and one canonical
+       step; then acc mod gamma = acc - (acc // gamma) * gamma, with one
+       floor division per run of rows that share a gamma: numpy divides
+       by a scalar several times faster than `%` by a column.
     """
+    rows = limbs[0].shape[1]
     k = sum(c.shape[2] for c in limbs) // 3
-    out = np.empty((limbs[0].shape[1], keys.size), dtype=np.uint64)
+    out = np.empty((rows, keys.size), dtype=np.uint64)
     gamma = np.asarray(gamma, dtype=np.uint64)
+    runs = _gamma_runs(gamma.reshape(-1), rows)
+    bufs = None
     for start in range(0, keys.size, BLOCK_KEYS):
-        powers = _powers(keys[start : start + BLOCK_KEYS], k)
+        x = keys[start : start + BLOCK_KEYS]
+        if bufs is None or bufs[0].shape[1] != x.size:
+            bufs = _block_buffers(rows, k, limbs[0].shape[2] // 3, x.size)
+        powers, shared, classes = bufs
+        _powers(x, k, powers, shared)
         acc, j = None, 0
         for c in limbs:
             kc = c.shape[2] // 3
-            t = _limb_classes(c, powers[j : j + kc])
+            t, scratch = _limb_classes(c, powers[j : j + kc], shared, classes)
             j += kc
             if acc is not None:
-                t += acc
-            acc = _fold(t)
-        # acc < 2^61 + 4 < 2*(2^61-1): one subtraction makes it canonical.
-        np.remainder(_canonical(acc), gamma, out=out[:, start : start + BLOCK_KEYS])
+                t += acc            # < 2^62 + 2^61 + 8
+            acc = _fold(t, scratch)
+            if j < k:
+                acc = acc.copy()    # the next chunk reuses t's buffer
+        # acc < 2^61 + 8 < 2*(2^61-1): one subtraction makes it canonical.
+        np.subtract(acc, _M61, out=scratch)
+        np.minimum(acc, scratch, out=acc)
+        for a, b, g in runs:
+            np.floor_divide(acc[a:b], g, out=scratch[a:b])
+        scratch *= gamma
+        np.subtract(acc, scratch, out=out[:, start : start + acc.shape[1]])
     return out
 
 
-def _fold(s: np.ndarray) -> np.ndarray:
-    # s < 2^64 -> a congruent value (s mod 2^61) + (s >> 61) < 2^61 + 8.
-    t = s & _M61
-    t += s >> _S61
-    return t
+def _block_buffers(rows: int, k: int, kc: int, n: int) -> tuple:
+    """(powers, shared, classes): the buffers of n-key blocks, reused by each.
+
+    powers is (k, n) and lives through every chunk. shared is flat and
+    holds in turn the `_mulmod61` scratch, a limb temporary, the GEMM
+    result and a scratch row block; classes is flat and holds the float64
+    power limbs, then the class sums. Overlaying buffers whose lifetimes
+    do not meet keeps each within (3*rows or 3*k) x n, the size of the
+    largest temporary they replace. They stay three allocations: one
+    larger block, freed at the end of every call, raises glibc's mmap and
+    trim thresholds and with them how the process's later large
+    allocations page-fault.
+    """
+    shared = max(3 * max((k - 1) // 2, 1), kc, 3 * rows) * n
+    return (np.empty((k, n), dtype=np.uint64), np.empty(shared, dtype=np.uint64),
+            np.empty(max(3 * kc, 3 * rows) * n, dtype=np.uint64))
 
 
-def _canonical(v: np.ndarray) -> np.ndarray:
-    # v < 2*(2^61-1) -> v mod 2^61-1: below 2^61-1, v - (2^61-1) wraps high.
-    return np.minimum(v, v - _M61)
+def _gamma_runs(gamma: np.ndarray, rows: int) -> list:
+    """[(a, b, g)]: the maximal runs of rows a..b-1 whose bucket range is g.
+
+    gamma is flat: one entry per row, or one for every row.
+    """
+    cuts = (np.flatnonzero(gamma[1:] != gamma[:-1]) + 1).tolist()
+    return [(a, b, gamma[a : a + 1].reshape(())) for a, b in zip([0, *cuts], [*cuts, rows])]
 
 
-def _mulmod61(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Canonical a*b mod 2^61-1 for a, b below 2^61 (b broadcasts)."""
-    # 32-bit limbs: a_hi, b_hi < 2^29, so mid = a_hi*b_lo + a_lo*b_hi <
-    # 2^62 and lo = a_lo*b_lo < 2^64 fit in uint64. With 2^64 == 8 and
-    # 2^61 == 1, a*b = a_hi*b_hi*2^64 + mid*2^32 + lo is congruent to
-    #   8*a_hi*b_hi + (mid >> 29) + (mid mod 2^29)*2^32 + (lo >> 61) + (lo mod 2^61),
-    # a sum below 2^61 + 2^33 + 2^61 + 8 + 2^61 < 2^63.
-    a_hi, a_lo = a >> _S32, a & _LOW32
-    b_hi, b_lo = b >> _S32, b & _LOW32
-    mid = a_hi * b_lo
-    mid += a_lo * b_hi
-    lo = a_lo * b_lo
-    s = (a_hi * b_hi) << _S3
-    s += mid >> _S29
-    mid <<= _S32                # keeps mid mod 2^32, shifted up
-    mid &= _M61                 # now (mid mod 2^29) * 2^32
-    s += mid
-    s += lo >> _S61
-    lo &= _M61
-    s += lo
-    return _canonical(_fold(s))
+def _fold(v: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """v in place: (v mod 2^61) + (v >> 61), congruent, below 2^61 + 8."""
+    np.right_shift(v, _S61, out=scratch)
+    v &= _M61
+    v += scratch
+    return v
 
 
-def _powers(x: np.ndarray, k: int) -> np.ndarray:
-    """(k, n) canonical powers x^j mod 2^61-1, j < k, of the keys x."""
-    p = np.empty((k, x.size), dtype=np.uint64)
+def _mulmod61(a: np.ndarray, b: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
+    """out = a*b mod 2^61-1, below 2^61 + 4, for a (m, n) and b (n,) below 2^61 + 8.
+
+    Neither input nor output need be canonical. scratch is a (3, m, n)
+    uint64 buffer. With 31-bit halves a = a_hi*2^31 + a_lo (a_hi <= 2^30,
+    a_lo < 2^31), and likewise b,
+        a*b = a_hi*b_hi*2^62 + mid*2^31 + lo,  mid = a_hi*b_lo + a_lo*b_hi,
+    where 2a_hi*b_hi <= 2^61 and mid, lo = a_lo*b_lo < 2^62 fit in uint64.
+    As 2^62 == 2 and mid*2^31 = (mid >> 30)*2^61 + (mid mod 2^30)*2^31
+    with 2^61 == 1, the product is congruent to
+        2*a_hi*b_hi + (mid >> 30) + (mid mod 2^30)*2^31 + lo
+    < 2^61 + 2^32 + 2^61 + 2^62 < 5*2^61, so one fold leaves it below
+    2^61 + 4: 16 passes over (m, n) and 3 over b's row.
+    """
+    hi, lo, t = scratch
+    b_hi, b_lo = b >> _S31, b & _M31
+    np.right_shift(a, _S31, out=hi)
+    np.bitwise_and(a, _M31, out=lo)
+    np.multiply(hi, b_hi + b_hi, out=out)
+    hi *= b_lo
+    np.multiply(lo, b_hi, out=t)
+    hi += t                     # mid
+    lo *= b_lo
+    out += lo
+    np.right_shift(hi, _S30, out=t)
+    out += t
+    hi <<= _S31                 # keeps mid mod 2^33, shifted up
+    hi &= _M61                  # now (mid mod 2^30) * 2^31
+    out += hi
+    _fold(out, t)
+
+
+def _powers(x: np.ndarray, k: int, p: np.ndarray, shared: np.ndarray) -> None:
+    """p[j] == x^j (mod 2^61-1), below 2^61 + 4, for keys x < 2^61-1 and j < k.
+
+    p is (k, n) and shared the flat scratch of `_block_buffers`.
+    """
+    scratch = shared[: 3 * max((k - 1) // 2, 1) * x.size].reshape(3, -1, x.size)
     p[0] = 1
-    b, xb = 1, x
-    while b < k:
-        # P[b:2b] = P[:b] * x^b, whose first row is x^b itself.
-        if b > 1:
-            xb = _mulmod61(xb, xb)
-        p[b] = xb
-        n = min(b, k - b)
-        if n > 1:
-            p[b + 1 : b + n] = _mulmod61(p[1:n], xb)
+    if k > 1:
+        p[1] = x
+    b = 1
+    while b < k - 1:
+        # P[b+1 : 2b+1] = P[1 : b+1] * x^b, whose last row x^(2b) is the
+        # next level's multiplier.
+        m = min(b, k - 1 - b)
+        _mulmod61(p[1 : m + 1], p[b], p[b + 1 : b + m + 1], scratch[:, :m])
         b *= 2
-    return p
 
 
-def _limb_classes(c: np.ndarray, powers: np.ndarray) -> np.ndarray:
-    """sum_j coefficient[r, j] * powers[j], congruent mod 2^61-1, below 2^63.
+def _limb_classes(c: np.ndarray, powers: np.ndarray, shared: np.ndarray,
+                  classes: np.ndarray) -> tuple:
+    """(t, scratch): t == sum_j coefficient[r, j] * powers[j] mod 2^61-1, t < 2^62.
 
     c is one (3, rows, 3*kc) `coeff_limbs` chunk, powers the matching
-    (kc, n) canonical powers x^j = X0 + X1*2^21 + X2*2^42. In the product
-    sum_(a,b) C_a X_b 2^(21(a+b)), shift class a+b = 3 carries 2^63 == 4
+    (kc, n) powers x^j = X0 + X1*2^21 + X2*2^42, each below 2^61 + 8.
+    shared and classes are the last two buffers of `_block_buffers`; t
+    is a view of classes, and scratch a free (rows, n) view of shared.
+    In the product sum_(a,b) C_a X_b 2^(21(a+b)), shift class a+b = 3 carries 2^63 == 4
     and class 4 carries 2^84 == 4*2^21 (mod 2^61-1), so both wrap onto
     classes 0 and 1 with their coefficient limb scaled by 4:
         T0 = C0 X0 + 4 C2 X1 + 4 C1 X2        (weight 1)
@@ -390,30 +462,41 @@ def _limb_classes(c: np.ndarray, powers: np.ndarray) -> np.ndarray:
         T2 = C2 X0 + C1 X1 + C0 X2            (weight 2^42)
     With Y = [X2; X1; X0] stacked, class t is c[t] @ Y, so one GEMM of
     (3*rows, 3*kc) by (3*kc, n) gives all three.
-    Exactness: X0, X1, C0, C1 < 2^21 and X2, C2 < 2^19, so every product,
-    scaled ones included, is below 2^42, and a class holds 3 of them per
-    column: T_t < 3 * kc * 2^42 <= 2^53 for kc <= 682 (CHUNK_POWERS = 512).
-    Every product and partial sum is then an integer that float64 holds
-    exactly, so the GEMM is exact in any summation order, with or without
-    FMA and for any BLAS thread count.
-    Recombination: T1*2^21 = (T1 >> 40)*2^61 + (T1 mod 2^40)*2^21, and
-    likewise T2*2^42, so with 2^61 == 1 the result is congruent to
-        T0 + (T1 >> 40) + (T2 >> 19) + ((T1 << 21) mod 2^61) + ((T2 << 42) mod 2^61),
-    a sum below 2^53 + 2^13 + 2^34 + 2 * 2^61 < 2^63.
+    Exactness: X0, X1, C0, C1 < 2^21, C2 < 2^19 and X2 <= 2^19, so every
+    product, scaled ones included, is below 2^42, and a class holds 3 of
+    them per column: T_t < 3 * kc * 2^42 <= 2^53 for kc <= 682
+    (CHUNK_POWERS = 512). Every product and partial sum is then an integer
+    that float64 holds exactly, so the GEMM is exact in any summation
+    order, with or without FMA and for any BLAS thread count.
+    Recombination: for any U < 2^64, U*2^21 = (U >> 40)*2^61 +
+    (U mod 2^40)*2^21 == (U >> 40) + ((U << 21) mod 2^61). So
+    U = T1 + T2*2^21 reduces to T1 + (T2 >> 40) + ((T2 << 21) mod 2^61)
+    < 2^53 + 2^13 + 2^61 < 2^62, and T0 + U*2^21 to
+    T0 + (U >> 40) + ((U << 21) mod 2^61) < 2^53 + 2^22 + 2^61 < 2^62.
     """
     kc, n = powers.shape
-    y = ((powers >> _Y_SHIFT) & _M21).reshape(3 * kc, n).astype(np.float64)
-    t0, t1, t2 = (c.reshape(-1, 3 * kc) @ y).astype(np.uint64).reshape(3, -1, n)
-    t = t1 >> _S40
-    t += t2 >> _S19
-    t += t0
-    t1 <<= _S21
-    t1 &= _M61
-    t += t1
-    t2 <<= _S42
-    t2 &= _M61
-    t += t2
-    return t
+    rows = c.shape[1]
+    # Limbs in int64, which numpy converts to float64 in its vectorized loops.
+    x = powers.view(np.int64)
+    x1 = shared[: kc * n].view(np.int64).reshape(kc, n)
+    y = classes[: 3 * kc * n].view(np.float64).reshape(3, kc, n)
+    np.right_shift(x, _I42, out=y[0])
+    np.right_shift(x, _I21, out=x1)
+    np.bitwise_and(x1, _IM21, out=y[1])
+    np.bitwise_and(x, _IM21, out=y[2])
+    gemm = shared[: 3 * rows * n].view(np.float64).reshape(3, rows, n)
+    np.matmul(c.reshape(-1, 3 * kc), y.reshape(3 * kc, n), out=gemm.reshape(-1, n))
+    t = classes[: 3 * rows * n].reshape(3, rows, n)
+    np.copyto(t.view(np.int64), gemm, casting="unsafe")
+    t0, t1, t2 = t
+    scratch = shared[: rows * n].reshape(rows, n)     # the GEMM result is spent
+    for hi, lo in ((t2, t1), (t1, t0)):
+        np.right_shift(hi, _S40, out=scratch)
+        lo += scratch
+        hi <<= _S21
+        hi &= _M61
+        lo += hi
+    return t0, scratch
 
 
 class PowerHash:

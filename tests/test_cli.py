@@ -43,6 +43,14 @@ def test_non_unique_count_matches_dict_oracle():
         assert _non_unique_count(buckets) == want
 
 
+def test_non_unique_count_per_row():
+    # The command counts a whole chunk of trials at once, one row each.
+    rng = np.random.default_rng(1)
+    buckets = rng.integers(0, 30, size=(17, 40), dtype=np.uint64)
+    got = _non_unique_count(buckets)
+    assert got.tolist() == [int(_non_unique_count(row)) for row in buckets]
+
+
 def test_non_unique_count_toy_family_exhaustive():
     # Tiny fully enumerable family: degree-1 polynomials over F_13 into 8
     # buckets, hashing keys {0..3}. The command's counting logic must agree

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from stacked_iblt import hashing
 from stacked_iblt.cli import bad_base_count, is_identity_multiset
 from stacked_iblt.hashing import (MERSENNE61, KWiseHash, PowerHash,
-                                  SeededStream, _field_elements,
+                                  RowStack, SeededStream, _field_elements,
                                   bucket_stream_id, coeff_limbs,
                                   eval_poly_rows, is_prime,
                                   next_prime_at_least)
@@ -135,6 +135,64 @@ def test_eval_poly_rows_degrees_across_power_chunks(k):
         want = [horner_oracle(coeffs, x, MERSENNE61) % int(gamma[r, 0])
                 for x in keys.tolist()]
         assert got[r].tolist() == want
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 8, 9, 16, 17, 32, 33, 40, 64, 65])
+def test_powers_match_pow(k):
+    # Every doubling level, including the partial last one, at the extreme
+    # keys and random ones. The powers are congruent, not canonical.
+    rng = np.random.default_rng(k)
+    keys = np.concatenate([np.array([0, 1, MERSENNE61 - 1], dtype=np.uint64),
+                           rng.integers(0, MERSENNE61, size=29, dtype=np.uint64)])
+    p, shared, _ = hashing._block_buffers(1, k, k, keys.size)
+    hashing._powers(keys, k, p, shared)
+    assert int(p.max()) < 2**61 + 4
+    for j in range(k):
+        assert [v % MERSENNE61 for v in p[j].tolist()] == \
+            [pow(x, j, MERSENNE61) for x in keys.tolist()]
+
+
+@pytest.mark.parametrize("k", [1, 40, 600])
+def test_eval_poly_rows_batch_is_concatenation_of_pieces(k):
+    # Splits at the key block edges and a random point: blocks share
+    # buffers within a call, so no block may depend on another.
+    rng = np.random.default_rng(k)
+    cm = rng.integers(0, MERSENNE61, size=(5, k), dtype=np.uint64)
+    limbs = coeff_limbs(cm)
+    gamma = np.array([[7], [7], [1000], [MERSENNE61 - 1], [2]], dtype=np.uint64)
+    keys = rng.integers(0, MERSENNE61, size=700, dtype=np.uint64)
+    whole = eval_poly_rows(limbs, keys, gamma)
+    for cut in (1, 255, 256, 257, int(rng.integers(2, 699))):
+        parts = [eval_poly_rows(limbs, part, gamma) for part in (keys[:cut], keys[cut:])]
+        assert np.array_equal(np.concatenate(parts, axis=1), whole)
+
+
+def test_row_stack_rejects_out_of_field_rows():
+    # At k=500 all-ones-word coefficients would push the GEMM's class sums
+    # past 2^53; a zero range has no bucket.
+    with pytest.raises(ValueError, match="coefficients"):
+        RowStack(np.full((1, 500), 2**64 - 1, dtype=np.uint64), [7])
+    for bad in ([[MERSENNE61]], [[-1]], [[2**70]], [[1.5]]):
+        with pytest.raises(ValueError, match="coefficients"):
+            RowStack(bad, [7])
+    for gamma in ([0], [MERSENNE61], [-3], [2**64]):
+        with pytest.raises(ValueError, match="bucket range"):
+            RowStack([[1, 2]], gamma)
+    with pytest.raises(ValueError, match="R bucket ranges"):
+        RowStack([[1, 2], [3, 4]], [7])
+    with pytest.raises(ValueError, match="k >= 1"):
+        RowStack(np.zeros((2, 0), dtype=np.uint64), [7, 7])
+    top = RowStack([[MERSENNE61 - 1] * 3], [MERSENNE61 - 1])
+    assert top.coefficients.dtype == np.uint64
+
+
+def test_row_stack_from_streams_matches_kwise_rows():
+    ids = [5, (0x10 << 56) | 3, bucket_stream_id(2, 1)]
+    stack = RowStack.from_streams(11, 6, ids, [97, 5, 97])
+    for row, (sid, gamma) in enumerate(zip(ids, (97, 5, 97))):
+        h = KWiseHash(11, 6, gamma, stream_id=sid)
+        assert tuple(stack.coefficients[row].tolist()) == h.coefficients
+        assert int(stack.gamma[row, 0]) == gamma
 
 
 def test_coefficients_follow_seeded_stream_word_for_word():
