@@ -7,12 +7,22 @@ byte-identical across runs and thread counts. IBLT_THREADS caps workers.
 
 Exit status is nonzero iff a measured value exceeds its bound beyond the
 declared slack (mean + 3*sqrt(mean) + 1 for counting experiments, exact
-for the others), which makes the harness usable as a CI gate.
+for the others), which makes the harness usable as a CI gate. Each
+command checks its parameters before its first trial; a bad one is a
+usage error, with exit status 2.
+
+Each subcommand takes only the options it reads, and --out (CSV path):
+    unique-hash     --n --trials --seed --big-c --k
+    decode-failure  --n --delta --trials --seed --big-c --c0 --k --mode --p --q --load
+    space           --n --delta --seed --big-c --c0 --k
+    lemma3          --seed (unused) --p --q --ell-max
+    reconcile-demo  --n --delta --seed --big-c --c0 --k --p --q --size-a --size-b --diff
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import itertools
 import math
 import os
@@ -22,7 +32,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from .core import CHECKSUM_CELL_BYTES, PLAIN_CELL_BYTES, key_bound
-from .hashing import RowStack, SeededStream, check_power_params, eval_poly_rows
+from .hashing import MERSENNE61, RowStack, SeededStream, check_power_params
 from .reconcile import reconcile_local, serialize, sketch_of
 from .stacked import DEFAULT_BIG_C, DEFAULT_C0, Params, StackedSketch, plan_layout
 
@@ -42,6 +52,26 @@ def _parse_delta(text: str) -> float:
             base, exp = text.split(sep, 1)
             return float(base) ** float(exp)
     return float(text)
+
+
+def _int_at_least(low: int):
+    """argparse type: an integer >= low."""
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
+        return value
+    return integer
+
+
+@contextlib.contextmanager
+def _parameters(args):
+    # Marks a command's checks, run before its first trial: a ValueError
+    # there is a usage error. Raised anywhere else, it keeps its traceback.
+    try:
+        yield
+    except ValueError as exc:
+        args.usage_error(str(exc))
 
 
 def _worker_count() -> int:
@@ -115,6 +145,9 @@ def _non_unique_count(buckets: np.ndarray):
 
 def cmd_unique_hash(args) -> int:
     n, big_c, k, trials, seed = args.n, args.big_c, args.k, args.trials, args.seed
+    with _parameters(args):
+        if not (big_c > 0 and math.isfinite(big_c) and math.ceil(big_c * n) < MERSENNE61):
+            raise ValueError("big_c must be positive, with ceil(big_c * n) below 2^61-1")
     gamma = math.ceil(big_c * n)
     keys = np.arange(n, dtype=np.uint64)
 
@@ -125,7 +158,7 @@ def cmd_unique_hash(args) -> int:
         chunk_trials = range(c * _TRIAL_CHUNK, min(trials, (c + 1) * _TRIAL_CHUNK))
         stack = RowStack.from_streams(seed, 2 * k, [_TRIAL_STREAM | t for t in chunk_trials],
                                       [gamma] * len(chunk_trials))
-        bad = _non_unique_count(eval_poly_rows(stack.limbs, keys, stack.gamma)).tolist()
+        bad = _non_unique_count(stack.flat_cells(keys)).tolist()
         return [(b, int(b > n / 2)) for b in bad]
 
     results = [r for part in _run_trials(chunk, -(-trials // _TRIAL_CHUNK)) for r in part]
@@ -146,21 +179,28 @@ def cmd_unique_hash(args) -> int:
 
 # -- decode-failure ----------------------------------------------------------
 
-def _build_params(args, master_seed: int) -> Params:
-    return Params(n=args.n, delta=args.delta, big_c=args.big_c, c0=args.c0,
-                  k=args.k, mode=args.mode, p=args.p, q=args.q,
-                  master_seed=master_seed)
+def _params(args, **kw) -> Params:
+    return Params(n=args.n, delta=args.delta, big_c=args.big_c, c0=args.c0, k=args.k, **kw)
+
+
+def _key_domain(params: Params, count: int) -> int:
+    """The key bound of sketches with these params, checked to hold `count` keys."""
+    bound = key_bound(StackedSketch(params).checksum)
+    if count > bound:
+        raise ValueError(f"{count} distinct keys do not fit in the key domain [0, {bound})")
+    return bound
 
 
 def cmd_decode_failure(args) -> int:
     load = args.load if args.load is not None else args.n
-    _build_params(args, 0)   # validate once up front (and cache q if any)
+    with _parameters(args):
+        bound = _key_domain(_params(args, mode=args.mode, p=args.p, q=args.q), load)
 
     def one(trial: int) -> tuple[int, int]:
         master = SeededStream(args.seed, _SEED_STREAM | trial).below(1 << 64)
-        sketch = StackedSketch(_build_params(args, master))
+        sketch = StackedSketch(_params(args, mode=args.mode, p=args.p, q=args.q,
+                                       master_seed=master))
         rng = _trial_rng(args.seed, trial, salt=1)
-        bound = key_bound(sketch.checksum)
         keys = _distinct_keys(rng, load, bound)
         values = rng.integers(0, 1 << 64, size=load, dtype=np.uint64)
         sketch.insert_arrays(keys, values)
@@ -187,9 +227,9 @@ def cmd_decode_failure(args) -> int:
 # -- space -------------------------------------------------------------------
 
 def cmd_space(args) -> int:
-    params = Params(n=args.n, delta=args.delta, big_c=args.big_c, c0=args.c0,
-                    k=args.k, master_seed=args.seed)
-    lay = plan_layout(params)
+    with _parameters(args):
+        params = _params(args, master_seed=args.seed)
+        lay = plan_layout(params)
     lines = [_params_line("space", n=args.n, delta=args.delta, big_c=args.big_c,
                           c0=args.c0, tau=lay.tau, capacity=lay.capacity),
              "table,kind,rows,cols,cells"]
@@ -261,11 +301,11 @@ def bad_base_count(p: int, q: int, keys, signs) -> int:
 
 def cmd_lemma3(args) -> int:
     p, q, ell_max = args.p, args.q, args.ell_max
-    if ell_max < 1:
-        raise SystemExit("--ell-max must be >= 1")
-    work = sum((p * 2) ** ell for ell in range(1, ell_max + 1)) * q
-    if work > 2 * 10**7 or ell_max * p > 10_000:
-        raise SystemExit("lemma3 sweep too large; shrink p, q, or --ell-max")
+    with _parameters(args):
+        check_power_params(p, q)
+        work = sum((p * 2) ** ell for ell in range(1, ell_max + 1)) * q
+        if work > 2 * 10**7 or ell_max * p > 10_000:
+            raise ValueError("sweep too large; shrink p, q, or --ell-max")
     lines = [_params_line("lemma3", p=p, q=q, ell_max=ell_max),
              "ell,cases,identity_cases,worst_count,bound"]
     violated = False
@@ -306,11 +346,11 @@ def cmd_reconcile_demo(args) -> int:
     b_only = args.diff - a_only
     shared = max(min(args.size_a - a_only, args.size_b - b_only), 0)
     size_a, size_b = shared + a_only, shared + b_only
-    params = Params(n=args.n, delta=args.delta, big_c=args.big_c, c0=args.c0,
-                    k=args.k, mode="checksum", p=args.p, q=args.q,
-                    master_seed=args.seed)
+    with _parameters(args):
+        params = _params(args, mode="checksum", p=args.p, q=args.q, master_seed=args.seed)
+        bound = _key_domain(params, shared + args.diff)
     rng = _trial_rng(args.seed, 0, salt=2)
-    keys = _distinct_keys(rng, shared + args.diff, params.p)
+    keys = _distinct_keys(rng, shared + args.diff, bound)
     values = rng.integers(0, 1 << 64, size=keys.size, dtype=np.uint64)
     pairs = list(zip(keys.tolist(), values.tolist()))
     set_a = set(pairs[:shared + a_only])
@@ -339,51 +379,52 @@ def cmd_reconcile_demo(args) -> int:
 
 # -- plumbing -------------------------------------------------------------------
 
+# Every option, by dest name; the flag is "--" plus the name with "-" for "_".
+_OPTIONS = {
+    "n": dict(type=_int_at_least(1), help="capacity threshold"),
+    "delta": dict(type=_parse_delta, help="target failure probability (accepts 2^-K)"),
+    "trials": dict(type=_int_at_least(1), default=1000),
+    "seed": dict(type=int, default=0),
+    "big_c": dict(type=float, default=DEFAULT_BIG_C),
+    "c0": dict(type=float, default=DEFAULT_C0),
+    "k": dict(type=_int_at_least(1), default=None),
+    "mode": dict(choices=("plain", "checksum"), default="plain"),
+    "p": dict(type=int, default=None),
+    "q": dict(type=int, default=None),
+    "load": dict(type=_int_at_least(0), default=None, help="pairs per trial (default n)"),
+    "ell_max": dict(type=_int_at_least(1), default=2),
+    "size_a": dict(type=_int_at_least(0), default=500),
+    "size_b": dict(type=_int_at_least(0), default=480),
+    "diff": dict(type=_int_at_least(0), default=16),
+    "out": dict(type=str, default=None, help="CSV path (stdout if omitted)"),
+}
+
+# (name, command, help, the options it reads besides --out, its own defaults)
+_COMMANDS = (
+    ("unique-hash", cmd_unique_hash,
+     "fraction of trials where more than n/2 keys collide under a fresh 2k-wise hash",
+     "n trials seed big_c k", dict(n=512, k=16)),
+    ("decode-failure", cmd_decode_failure, "full-load listing failure rate vs delta",
+     "n delta trials seed big_c c0 k mode p q load", dict(n=256, delta=2.0**-8)),
+    ("space", cmd_space, "layout table and closed-form space accounting",
+     "n delta seed big_c c0 k", dict(n=1024, delta=2.0**-10)),
+    ("lemma3", cmd_lemma3, "exhaustive false-verification base counts",
+     "seed p q ell_max", dict(p=5, q=101)),
+    ("reconcile-demo", cmd_reconcile_demo, "two-party reconciliation walkthrough",
+     "n delta seed big_c c0 k p q size_a size_b diff", dict(n=64, delta=2.0**-6)),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="stacked-iblt",
         description="Experiment harness for stacked key-value sketches.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(sp, *, n=1024, delta="2^-10", trials=1000):
-        sp.add_argument("--n", type=int, default=n, help="capacity threshold")
-        sp.add_argument("--delta", type=_parse_delta, default=_parse_delta(delta),
-                        help="target failure probability (accepts 2^-K)")
-        sp.add_argument("--trials", type=int, default=trials)
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--big-c", type=float, default=DEFAULT_BIG_C, dest="big_c")
-        sp.add_argument("--c0", type=float, default=DEFAULT_C0)
-        sp.add_argument("--k", type=int, default=None)
-        sp.add_argument("--mode", choices=("plain", "checksum"), default="plain")
-        sp.add_argument("--p", type=int, default=None)
-        sp.add_argument("--q", type=int, default=None)
-        sp.add_argument("--out", type=str, default=None, help="CSV path (stdout if omitted)")
-
-    sp = sub.add_parser("unique-hash", help="fraction of trials where more than "
-                        "n/2 keys collide under a fresh 2k-wise hash")
-    common(sp, n=512, trials=1000)
-    sp.set_defaults(func=cmd_unique_hash, k=16)
-
-    sp = sub.add_parser("decode-failure", help="full-load listing failure rate vs delta")
-    common(sp, n=256, delta="2^-8")
-    sp.add_argument("--load", type=int, default=None, help="pairs per trial (default n)")
-    sp.set_defaults(func=cmd_decode_failure)
-
-    sp = sub.add_parser("space", help="layout table and closed-form space accounting")
-    common(sp)
-    sp.set_defaults(func=cmd_space)
-
-    sp = sub.add_parser("lemma3", help="exhaustive false-verification base counts")
-    common(sp)
-    sp.add_argument("--ell-max", type=int, default=2, dest="ell_max")
-    sp.set_defaults(func=cmd_lemma3, p=5, q=101)
-
-    sp = sub.add_parser("reconcile-demo", help="two-party reconciliation walkthrough")
-    common(sp, n=64, delta="2^-6")
-    sp.add_argument("--size-a", type=int, default=500, dest="size_a")
-    sp.add_argument("--size-b", type=int, default=480, dest="size_b")
-    sp.add_argument("--diff", type=int, default=16)
-    sp.set_defaults(func=cmd_reconcile_demo)
+    for name, func, help_text, options, defaults in _COMMANDS:
+        sp = sub.add_parser(name, help=help_text)
+        for opt in options.split() + ["out"]:
+            sp.add_argument("--" + opt.replace("_", "-"), **_OPTIONS[opt])
+        sp.set_defaults(func=func, usage_error=sp.error, **defaults)
     return parser
 
 

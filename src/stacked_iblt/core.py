@@ -166,7 +166,10 @@ class Mutations:
         """Remove sign-weighted contributions; pairs are (sign, key, value)."""
         items = list(signed_pairs)
         keys, values = _pairs_to_arrays((k, v) for _, k, v in items)
-        self._update(keys, values, -np.array([s for s, _, _ in items]))
+        signs = np.array([s for s, _, _ in items])
+        if signs.size and signs.dtype.kind not in "iu":   # before numpy negates a bool
+            raise ValueError("signs must be +1 or -1")
+        self._update(keys, values, -signs)
 
     def delete_pairs(self, pairs) -> None:
         """Unsigned delete: every pair removed with sign +1."""
@@ -426,16 +429,6 @@ class BasicTable(Mutations):
     @property
     def mode(self) -> str:
         return "checksum" if self.checksum is not None else "plain"
-
-    @property
-    def hashes(self) -> tuple:
-        """The row hashes as KWiseHash objects, rebuilt from the row stack."""
-        return tuple(KWiseHash.from_coefficients(c, self.cols)
-                     for c in self._stack.coefficients.tolist())
-
-    def bucket_rows(self, keys: np.ndarray) -> np.ndarray:
-        """(rows, n) bucket indices in [0, cols) for a uint64 batch of keys."""
-        return self._stack.flat_cells(keys) - self._stack.offsets
 
     def _apply(self, flat, keys, values, weights) -> None:
         scatter(self._cells, self.checksum, flat, keys, values, weights)

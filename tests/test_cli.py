@@ -1,3 +1,4 @@
+import argparse
 import math
 import os
 
@@ -219,3 +220,75 @@ def test_count_slack_formula():
 def test_parser_rejects_unknown_command():
     with pytest.raises(SystemExit):
         build_parser().parse_args(["frobnicate"])
+
+
+def exit_code(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    return exc.value.code
+
+
+# Each subcommand takes only the options its command reads.
+SUBCOMMAND_OPTIONS = {
+    "unique-hash": "--n --trials --seed --big-c --k --out",
+    "decode-failure": "--n --delta --trials --seed --big-c --c0 --k --mode --p --q --load --out",
+    "space": "--n --delta --seed --big-c --c0 --k --out",
+    "lemma3": "--seed --p --q --ell-max --out",
+    "reconcile-demo": "--n --delta --seed --big-c --c0 --k --p --q --size-a --size-b --diff --out",
+}
+
+
+def test_subcommand_option_sets():
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    got = {name: {opt for a in sp._actions for opt in a.option_strings} - {"-h", "--help"}
+           for name, sp in sub.choices.items()}
+    assert got == {name: set(opts.split()) for name, opts in SUBCOMMAND_OPTIONS.items()}
+    assert sum(map(len, got.values())) == 42
+
+
+@pytest.mark.parametrize("argv", [["space", "--mode", "checksum"], ["lemma3", "--n", "5"],
+                                  ["unique-hash", "--delta", "0.5"],
+                                  ["reconcile-demo", "--trials", "7"]])
+def test_option_a_command_ignores_is_refused(argv):
+    assert exit_code(argv) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["unique-hash", "--trials", "0"],
+    ["decode-failure", "--trials", "0"],
+    ["decode-failure", "--load", "-1"],
+    ["reconcile-demo", "--diff", "-3"],
+    ["reconcile-demo", "--size-b", "-1"],
+    ["space", "--n", "0"],
+    ["lemma3", "--ell-max", "0"],
+])
+def test_bad_count_is_a_usage_error(argv, tmp_path):
+    out = tmp_path / "out.csv"
+    assert exit_code(argv + ["--out", str(out)]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, field", [
+    (["space", "--delta", "1.5"], "delta"),
+    (["lemma3", "--p", "4"], "p=4"),
+    (["unique-hash", "--big-c", "0"], "big_c"),
+    # More distinct keys than the key domain [0, p) holds: the key draw
+    # would never finish.
+    (["decode-failure", "--mode", "checksum", "--p", "5", "--q", "11", "--n", "4",
+      "--load", "6"], "key domain"),
+    (["reconcile-demo", "--p", "5", "--q", "11", "--n", "4"], "key domain"),
+])
+def test_bad_parameter_is_a_usage_error(argv, field, tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    assert exit_code(argv + ["--out", str(out)]) == 2
+    last = capsys.readouterr().err.splitlines()[-1]
+    assert last.startswith(f"stacked-iblt {argv[0]}: error: ") and field in last
+    assert not out.exists()
+
+
+def test_error_after_the_checks_keeps_its_traceback(monkeypatch, tmp_path):
+    def broken(*args):
+        raise ValueError("not a parameter error")
+    monkeypatch.setattr("stacked_iblt.cli._distinct_keys", broken)
+    with pytest.raises(ValueError, match="not a parameter error"):
+        main(["decode-failure", "--n", "8", "--trials", "1", "--out", str(tmp_path / "o.csv")])

@@ -12,9 +12,13 @@ from reference import LookupHash
 U64 = 1 << 64
 
 
+def row_hashes(rows=2, cols=8, seed=0, k=3):
+    """The KWiseHash rows `fresh` builds its table from."""
+    return [KWiseHash(seed, k, cols, stream_id=r) for r in range(rows)]
+
+
 def fresh(rows=2, cols=8, seed=0, checksum=None, k=3):
-    hashes = [KWiseHash(seed, k, cols, stream_id=r) for r in range(rows)]
-    return BasicTable(rows, cols, hashes, checksum)
+    return BasicTable(rows, cols, row_hashes(rows, cols, seed, k), checksum)
 
 
 def pairs_strategy(max_size=40):
@@ -68,7 +72,7 @@ def test_single_insert_hits_one_cell_per_row():
     t = fresh(3, 16)
     t.insert({(5, 7)})
     assert t.count.sum(axis=1).tolist() == [1, 1, 1]
-    cols = [h.eval(5) for h in t.hashes]
+    cols = [h.eval(5) for h in row_hashes(3, 16)]
     for r, c in enumerate(cols):
         assert t.key_sum[r, c] == 5
         assert t.value_sum[r, c] == 7
@@ -120,8 +124,9 @@ def test_unsigned_delete_matches_plus_one_signs():
 
 def test_bad_sign_rejected():
     t = fresh()
-    with pytest.raises(ValueError):
-        t.delete([(2, 5, 7)])
+    for item in [(2, 5, 7), (True, 5, 7)]:
+        with pytest.raises(ValueError, match="signs"):
+            t.delete([item])
 
 
 @pytest.mark.parametrize("make", [fresh, lambda: StackedSketch(Params(n=8, delta=0.25))],
@@ -243,7 +248,7 @@ def test_subtract_from_empty_negates():
     a, b = fresh(seed=5), fresh(seed=5)
     b.insert({(5, 7)})
     d = a.subtract(b)
-    for r, h in enumerate(d.hashes):
+    for r, h in enumerate(row_hashes(seed=5)):
         assert d.count[r, h.eval(5)] == -1
 
 
@@ -316,7 +321,7 @@ def test_plain_soundness_insert_only():
         t.insert(pairs)
         cell_of = {}
         for k, v in pairs:
-            for r, h in enumerate(t.hashes):
+            for r, h in enumerate(row_hashes(2, 6, trial)):
                 cell_of.setdefault((r, h.eval(k)), []).append((k, v))
         for r in range(t.rows):
             for c in range(t.cols):

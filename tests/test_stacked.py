@@ -1,6 +1,8 @@
+import ast
 import collections
 import inspect
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -252,8 +254,7 @@ def test_stacked_cells_match_per_table_bucket_rows():
     # The one-matrix draw must place every key where independently built
     # row hashes do: row r of table t is KWiseHash on stream
     # bucket_stream_id(t, r), and its indices point into the sketch's flat
-    # store at the table's base plus r * cols. Each table's own
-    # bucket_rows, on its segment of the stack, agrees too.
+    # store at the table's base plus r * cols.
     p = Params(n=256, delta=2.0**-10, master_seed=11)
     s = StackedSketch(p)
     keys = np.random.default_rng(11).integers(0, 2**61 - 1, size=600, dtype=np.uint64)
@@ -262,7 +263,6 @@ def test_stacked_cells_match_per_table_bucket_rows():
         buckets = np.stack([
             KWiseHash(p.master_seed, p.k, cols, stream_id=bucket_stream_id(t, r)).eval_batch(keys)
             for r in range(rows)])
-        assert np.array_equal(s.tables[t].bucket_rows(keys), buckets)
         want.append(buckets + np.uint64(base)
                     + (np.arange(rows, dtype=np.uint64) * np.uint64(cols))[:, None])
         base += rows * cols
@@ -273,10 +273,12 @@ def test_sketch_tables_hash_within_their_segments():
     # A table of a sketch hashes with its rows' segment of the stack, so a
     # pair inserted through it lands once per row of that table only.
     s = StackedSketch(Params(n=64, delta=2.0**-6, master_seed=4))
-    for t in s.tables:
+    for i, t in enumerate(s.tables):
         t.insert([(5, 7)])
         assert t.count.sum(axis=1).tolist() == [1] * t.rows
-        assert all(t.count[r, h.eval(5)] == 1 for r, h in enumerate(t.hashes))
+        for r in range(t.rows):
+            h = KWiseHash(4, s.params.k, t.cols, stream_id=bucket_stream_id(i, r))
+            assert t.count[r, h.eval(5)] == 1
     assert s._cells.count.sum() == sum(t.rows for t in s.tables)
 
 
@@ -600,10 +602,24 @@ def test_public_surface():
     assert stacked_iblt.__all__ == [
         "BasicTable", "DecodeOutcome", "DEFAULT_BIG_C", "DEFAULT_C0",
         "EnvelopeError", "KWiseHash", "LayoutPlan", "MERSENNE61", "Params",
-        "PowerHash", "SeededStream", "StackedSketch",
+        "PowerHash", "StackedSketch",
         "checksum_modulus_bound", "default_checksum_modulus",
         "default_independence", "deserialize", "is_prime",
         "layout_digest", "next_prime_at_least", "plan_layout", "reconcile_local",
         "serialize", "sketch_of",
     ]
     assert list(inspect.signature(StackedSketch).parameters) == ["params"]
+
+
+def test_only_hashing_imports_the_kernel_operands():
+    # eval_poly_rows and coeff_limbs work on the kernel's limb operands;
+    # every other module hashes through RowStack.
+    kernel = {"eval_poly_rows", "coeff_limbs"}
+    for path in pathlib.Path(stacked_iblt.__file__).parent.glob("*.py"):
+        if path.name == "hashing.py":
+            continue
+        tree = ast.parse(path.read_text())
+        names = {a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                 for a in node.names}
+        names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        assert not names & kernel, path.name
