@@ -194,7 +194,9 @@ def _key_domain(params: Params, count: int) -> int:
 def cmd_decode_failure(args) -> int:
     load = args.load if args.load is not None else args.n
     with _parameters(args):
-        bound = _key_domain(_params(args, mode=args.mode, p=args.p, q=args.q), load)
+        # master_seed checks --seed: each trial derives its own from it.
+        bound = _key_domain(_params(args, mode=args.mode, p=args.p, q=args.q,
+                                    master_seed=args.seed), load)
 
     def one(trial: int) -> tuple[int, int]:
         master = SeededStream(args.seed, _SEED_STREAM | trial).below(1 << 64)

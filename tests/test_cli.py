@@ -277,6 +277,8 @@ def test_bad_count_is_a_usage_error(argv, tmp_path):
     (["decode-failure", "--mode", "checksum", "--p", "5", "--q", "11", "--n", "4",
       "--load", "6"], "key domain"),
     (["reconcile-demo", "--p", "5", "--q", "11", "--n", "4"], "key domain"),
+    (["decode-failure", "--seed", "-1", "--n", "4", "--trials", "1"], "seed"),
+    (["decode-failure", "--seed", str(2**64), "--n", "4", "--trials", "1"], "seed"),
 ])
 def test_bad_parameter_is_a_usage_error(argv, field, tmp_path, capsys):
     out = tmp_path / "out.csv"

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 import sympy
@@ -7,11 +9,12 @@ from hypothesis import strategies as st
 from stacked_iblt import hashing
 from stacked_iblt.cli import bad_base_count, is_identity_multiset
 from stacked_iblt.hashing import (MERSENNE61, KWiseHash, PowerHash,
-                                  RowStack, SeededStream, _field_elements,
-                                  bucket_stream_id, coeff_limbs,
-                                  eval_poly_rows, is_prime,
+                                  RowStack, SeededStream, _field_rows,
+                                  _philox_blocks, _stream_ids, bucket_stream_id,
+                                  coeff_limbs, eval_poly_rows, is_prime,
                                   next_prime_at_least)
-from stacked_iblt.stacked import Params
+from stacked_iblt.reconcile import serialize
+from stacked_iblt.stacked import MAX_INDEPENDENCE, Params, StackedSketch
 
 
 def horner_oracle(coeffs, x, mod):
@@ -206,19 +209,95 @@ def test_coefficients_follow_seeded_stream_word_for_word():
                 assert KWiseHash(seed, k, 97, stream_id=stream_id).coefficients == want
 
 
-def test_field_elements_reject_and_redraw():
+def scripted_words(monkeypatch, words):
+    """Make every stream's words `words`, then 0s; log each draw's (start, count)."""
+    draws = []
+
+    def blocks(seed, stream_ids, start, count):
+        draws.append((start, count))
+        row = (list(words) + [0] * 4 * (start + count))[4 * start : 4 * (start + count)]
+        return np.array([row] * stream_ids.size, dtype=np.uint64)
+
+    monkeypatch.setattr(hashing, "_philox_blocks", blocks)
+    return draws
+
+
+def test_field_elements_reject_and_redraw(monkeypatch):
     # Words whose low 61 bits are all ones are skipped, as SeededStream
     # skips them, and the stream continues for the shortfall.
-    class Words:
-        def __init__(self, words):
-            self.words = list(words)
+    scripted_words(monkeypatch, [5, 2**64 - 1, MERSENNE61, 7, 2**63 + 9, 11])
+    assert _field_rows(0, [0], 4).tolist() == [[5, 7, 9, 11]]
 
-        def random_raw(self, n):
-            out, self.words = self.words[:n], self.words[n:]
-            return np.array(out, dtype=np.uint64)
 
-    words = [5, 2**64 - 1, MERSENNE61, 7, 2**63 + 9, 11]
-    assert _field_elements(Words(words), 4).tolist() == [5, 7, 9, 11]
+def test_rejection_in_a_partial_last_block_continues_at_word_k(monkeypatch):
+    # k = 6 ends two words into block 1. A rejected word k-1 = 5 is
+    # replaced by word k = 6, the next word of that block, as numpy's
+    # Philox hands out the rest of its 4-word buffer after random_raw(k).
+    words = [10, 11, 12, 13, 14, 2**64 - 1, 16, 17, 18]
+    draws = scripted_words(monkeypatch, words)
+    assert _field_rows(0, [3, 4], 6).tolist() == [[10, 11, 12, 13, 14, 16]] * 2
+    assert draws == [(0, 2), (1, 1), (1, 1)]
+
+
+# Stream ids and word counts of the word-for-word check against numpy's Philox.
+_ORACLE_IDS = (0, bucket_stream_id(2**24 - 1, 2**28 - 1), 2**64 - 1)
+_ORACLE_COUNTS = (*range(1, 10), 40, MAX_INDEPENDENCE)
+
+
+def numpy_philox_words(seed, stream_id, n):
+    key = np.array([seed, stream_id], dtype=np.uint64)
+    return np.random.Philox(key=key).random_raw(n)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**63, 2**64 - 1])
+def test_philox_blocks_match_numpy_philox_word_for_word(seed):
+    ids = _stream_ids(_ORACLE_IDS)
+    for n in _ORACLE_COUNTS:
+        got = _philox_blocks(seed, ids, 0, -(-n // 4))
+        assert got.shape == (len(_ORACLE_IDS), 4 * -(-n // 4))
+        for row, stream_id in zip(got, _ORACLE_IDS):
+            np.testing.assert_array_equal(row[:n], numpy_philox_words(seed, stream_id, n))
+
+
+def test_seeds_and_stream_ids_are_masked_to_64_bits():
+    np.testing.assert_array_equal(_philox_blocks(-1, _stream_ids([-1]), 0, 2),
+                                  _philox_blocks(2**64 - 1, _stream_ids([2**64 - 1]), 0, 2))
+    assert KWiseHash(-1, 5, 9, stream_id=-2) == KWiseHash(2**64 - 1, 5, 9, stream_id=2**64 - 2)
+
+
+def test_seeded_stream_reads_numpy_philox_words():
+    # 100 words take two refills, the second from block 16 on.
+    s = SeededStream(2**63, 5)
+    want = numpy_philox_words(2**63, 5, 100).tolist()
+    assert [s.below(1 << 64) for _ in range(100)] == want
+
+
+def test_no_numpy_bit_generator_or_os_entropy(monkeypatch):
+    # Every draw runs on _philox_blocks: numpy's Philox (and the OS
+    # entropy its constructor seeds a SeedSequence from) is never called.
+    prime = 2**128 - 159                # the largest 128-bit prime
+    keys = np.arange(1, 21, dtype=np.uint64) * 1_000_003
+
+    def envelope(mode):
+        # Cell contents depend on the drawn rows and, in checksum mode, base.
+        sketch = StackedSketch(Params(n=32, delta=2.0**-6, mode=mode, master_seed=3))
+        sketch.insert_arrays(keys, keys + 1)
+        return serialize(sketch)
+
+    def outputs():
+        return (envelope("plain"), envelope("checksum"),
+                KWiseHash(11, 40, 1000, stream_id=5).coefficients,
+                SeededStream(4, 9).below(2**100), hashing.is_prime(prime))
+
+    want = outputs()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("numpy bit generator or OS entropy used")
+
+    monkeypatch.setattr(hashing.np.random, "Philox", refuse)
+    monkeypatch.setattr(os, "urandom", refuse)
+    assert outputs() == want
+    assert want[-1] is True
 
 
 def test_eval_rejects_out_of_domain_key():
