@@ -32,7 +32,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from .core import CHECKSUM_CELL_BYTES, PLAIN_CELL_BYTES, key_bound
-from .hashing import MERSENNE61, RowStack, SeededStream, check_power_params
+from .hashing import MERSENNE61, RowStack, _stream_heads, check_power_params
 from .reconcile import reconcile_local, serialize, sketch_of
 from .stacked import DEFAULT_BIG_C, DEFAULT_C0, Params, StackedSketch, plan_layout
 
@@ -197,11 +197,13 @@ def cmd_decode_failure(args) -> int:
         # master_seed checks --seed: each trial derives its own from it.
         bound = _key_domain(_params(args, mode=args.mode, p=args.p, q=args.q,
                                     master_seed=args.seed), load)
+    # Trial t's master seed is SeededStream(seed, _SEED_STREAM | t).below(2^64).
+    masters = _stream_heads(args.seed, np.arange(args.trials, dtype=np.uint64)
+                            | np.uint64(_SEED_STREAM)).tolist()
 
     def one(trial: int) -> tuple[int, int]:
-        master = SeededStream(args.seed, _SEED_STREAM | trial).below(1 << 64)
         sketch = StackedSketch(_params(args, mode=args.mode, p=args.p, q=args.q,
-                                       master_seed=master))
+                                       master_seed=masters[trial]))
         rng = _trial_rng(args.seed, trial, salt=1)
         keys = _distinct_keys(rng, load, bound)
         values = rng.integers(0, 1 << 64, size=load, dtype=np.uint64)

@@ -46,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hashing import MERSENNE61, KWiseHash, PowerHash, RowStack
+from .hashing import MERSENNE61, KWiseHash, PowerHash, RowStack, scratch
 
 PLAIN_CELL_BYTES = 24       # key_sum + value_sum + count
 # + a 128-bit hash_sum: the envelope's and the paper's width, which
@@ -59,8 +59,8 @@ MAX_Q_BITS = 128            # four 32-bit lanes, and the envelope's u128 field
 LANE_BUDGET = 1 << 30
 
 _LIMB = 0xFFFFFFFF
-# Cells per reduce_lanes block: its largest temporary, 17 float64 a cell,
-# stays near 0.5 MB.
+# Cells per reduce_lanes block: its scratch, 21 float64 a cell, stays near
+# 0.7 MB.
 _REDUCE_BLOCK = 4096
 
 
@@ -118,33 +118,45 @@ def reduce_lanes(lanes: np.ndarray, q: int, out: np.ndarray | None = None) -> np
     4. Carry-normalize r to 32-bit limbs. The carry out of the top limb is
        -1 exactly where r < 0, and there q is added once.
     The limbs go to `out` (a new array when None; it may be `lanes`), one
-    block of _REDUCE_BLOCK cells at a time, which bounds the temporaries.
+    block of _REDUCE_BLOCK cells at a time. A block's digits and GEMM
+    product, 21 float64 a cell (688 KB for a whole block), are views of the
+    calling thread's scratch mapping (`hashing.scratch`), which only grows
+    and is kept while the thread lives: freed at the end of every block,
+    buffers this size lie above glibc's mmap threshold and page-fault in
+    afresh at the next one. This never nests with the mapping's other
+    user, `hashing.eval_poly_rows`.
     """
     if out is None:
         out = np.empty(lanes.shape, dtype=np.int64)
     for a in range(0, lanes.shape[1], _REDUCE_BLOCK):
-        out[:, a:a + _REDUCE_BLOCK] = _reduce_block(lanes[:, a:a + _REDUCE_BLOCK], q)
+        _reduce_block(lanes[:, a:a + _REDUCE_BLOCK], q, out[:, a:a + _REDUCE_BLOCK])
     return out
 
 
-def _reduce_block(lanes: np.ndarray, q: int) -> np.ndarray:
-    # reduce_lanes on at most _REDUCE_BLOCK cells, into a new array.
+def _reduce_block(lanes: np.ndarray, q: int, out: np.ndarray) -> None:
+    # reduce_lanes on at most _REDUCE_BLOCK cells, into `out`, which may be
+    # `lanes`: the digits are read before out is written.
     m = lanes.shape[1]
     quotient_row, rem, q_limbs = _fold(q)
-    digits = np.empty((17, m))              # float64, 16 digits then the quotient
+    work = scratch(21 * m).view(np.float64)
+    digits = work[:17 * m].reshape(17, m)   # 16 digits then the quotient
+    product = work[17 * m:].reshape(4, m)
     if lanes.strides[1] != 8:               # the pieces view needs contiguous rows
         lanes = np.ascontiguousarray(lanes)
     pieces = lanes.astype("<i8", copy=False).view("<u2").reshape(4, m, 4)
     np.copyto(digits[:12].reshape(3, 4, m), pieces[..., :3].transpose(2, 0, 1))
     np.copyto(digits[12:16], pieces[..., 3].view("<i2"))
-    np.floor(quotient_row @ digits[:16] + 2.0**-16, out=digits[16])
-    r = (rem @ digits).astype(np.int64)
-    low = np.flatnonzero(_carry(r) < 0)
+    quotient = digits[16]
+    np.matmul(quotient_row, digits[:16], out=quotient)
+    quotient += 2.0**-16
+    np.floor(quotient, out=quotient)
+    np.matmul(rem, digits, out=product)
+    np.copyto(out, product, casting="unsafe")
+    low = np.flatnonzero(_carry(out) < 0)
     if low.size:
-        up = r[:, low] + q_limbs
+        up = out[:, low] + q_limbs
         _carry(up)
-        r[:, low] = up
-    return r
+        out[:, low] = up
 
 
 class Mutations:
@@ -300,10 +312,16 @@ class CellStore:
         if any(a.any() for a in self.fields()[:3]):
             return False
         hs = self.hash_sum
-        for a in range(0, 0 if hs is None else hs.shape[1], _REDUCE_BLOCK):
+        if hs is None:
+            return True
+        out = np.empty((4, min(hs.shape[1], _REDUCE_BLOCK)), dtype=np.int64)
+        for a in range(0, hs.shape[1], _REDUCE_BLOCK):
             block = hs[:, a:a + _REDUCE_BLOCK]
-            if block.any() and _reduce_block(block, self.budget.modulus).any():
-                return False
+            if block.any():
+                r = out[:, :block.shape[1]]
+                _reduce_block(block, self.budget.modulus, r)
+                if r.any():
+                    return False
         return True
 
 

@@ -17,6 +17,16 @@ powers (6 at k = 40, over k - 2 rows in all) and one GEMM. Values stay
 below 2^61 + 8, congruent but not reduced, until one canonical step
 before the reduction mod each row's bucket range.
 
+The block kernels (`eval_poly_rows` here, `core.reduce_lanes`) take their
+temporaries from one scratch mapping per thread (`scratch`): an anonymous
+mapping, not heap memory, that only grows and is kept while the thread
+lives. Buffers of this size freed at the end of every call lie above
+glibc's mmap threshold, so each call would page-fault them in afresh;
+kept, a small sketch's evaluation takes no page fault at all, and the
+mapping leaves the malloc heap's layout as it was. It is about 1 MB at
+most at the largest shape in use (930 KB for 69 rows, k = 40). Every
+array a caller receives is a fresh allocation.
+
 The checksum family maps a key x to a^x mod q for a base a drawn once per
 sketch; it is what lets a table distinguish a cell holding one genuine
 pair from a cell whose count merely sums to +-1. The base is fixed and
@@ -28,20 +38,23 @@ and cached, turns each a^x into one lookup per 8-bit window of x and a
 multiply-mod between them.
 
 Every seeded draw (polynomial coefficients, the checksum base, the
-Miller-Rabin witnesses of a wide prime, the CLI's per-trial seeds) reads
-one word stream per key (seed, stream id): Philox4x64-10 (Salmon, Moraes,
-Dror & Shaw, "Parallel Random Numbers: As Easy as 1, 2, 3", SC '11) in
-counter mode with counters from 1, which is numpy's `Philox(key=[seed,
-stream id])` word for word. `_philox_blocks` runs the ten rounds for the
-counter blocks of every stream of a draw at once, on 32-bit halves; numpy's
-Philox is not called, and stays in the tests as the oracle. Where a draw
-reads on after k words, it continues mid-block, as numpy's 4-word buffer
-does after `random_raw(k)`.
+Miller-Rabin witnesses of a wide prime, the CLI's per-trial seeds, all
+trials' at once through `_stream_heads`) reads one word stream per key
+(seed, stream id): Philox4x64-10 (Salmon, Moraes, Dror & Shaw, "Parallel
+Random Numbers: As Easy as 1, 2, 3", SC '11) in counter mode with
+counters from 1, which is numpy's `Philox(key=[seed, stream id])` word
+for word. `_philox_blocks` runs the ten rounds for the counter blocks of
+every stream of a draw at once, on 32-bit halves; numpy's Philox is not
+called, and stays in the tests as the oracle. Where a draw reads on
+after k words, it continues mid-block, as numpy's 4-word buffer does
+after `random_raw(k)`.
 """
 
 from __future__ import annotations
 
 import functools
+import mmap
+import threading
 
 import numpy as np
 
@@ -105,6 +118,27 @@ _PHILOX_KEY_BUMPS = np.array([[r * w & _U64 for w in _PHILOX_BUMP]
 # Blocks per SeededStream refill: a draw costs about the same for 1 block
 # as for 16, and most streams are read for one or two words.
 _STREAM_BLOCKS = 16
+# Streams per `_stream_heads` pass: its work buffer stays near 1 MB.
+_HEAD_CHUNK = 4096
+
+# The calling thread's scratch mapping (`scratch`), as the attribute `words`.
+_SCRATCH = threading.local()
+
+
+def scratch(words: int) -> np.ndarray:
+    """The first `words` words, uint64, of the calling thread's scratch mapping.
+
+    The mapping is anonymous (`mmap`), not heap memory, and only grows: a
+    request larger than it replaces it with one of that size, rounded up
+    to whole pages, and nothing else frees it while the thread lives.
+    Every call returns the mapping's start, so its users never nest, and
+    no view of it outlives the call that took it or reaches a caller.
+    """
+    buf = getattr(_SCRATCH, "words", None)
+    if buf is None or buf.size < words:
+        size = -(-max(words, 1) * 8 // mmap.PAGESIZE) * mmap.PAGESIZE
+        buf = _SCRATCH.words = np.frombuffer(mmap.mmap(-1, size), dtype=np.uint64)
+    return buf[:words]
 
 
 def _stream_ids(stream_ids) -> np.ndarray:
@@ -175,6 +209,20 @@ def _philox_blocks(seed: int, stream_ids: np.ndarray, start: int, count: int) ->
         np.multiply(a, _PHILOX_COLUMNS[odd], out=b_next[::-1])
         np.bitwise_xor(hi, keys[r] if odd else keys[r, ::-1], out=a_next)
     return out.reshape(rows, 4 * count)
+
+
+def _stream_heads(seed: int, stream_ids: np.ndarray) -> np.ndarray:
+    """(R,) uint64: word 0 of each stream, SeededStream(seed, id).below(2^64).
+
+    A 2^64 bound takes one whole word and never rejects, so that draw is
+    the stream's first word; one `_philox_blocks` pass per _HEAD_CHUNK
+    streams gives them all, against a ten-round pass per stream.
+    """
+    out = np.empty(stream_ids.size, dtype=np.uint64)
+    for a in range(0, stream_ids.size, _HEAD_CHUNK):
+        ids = stream_ids[a : a + _HEAD_CHUNK]
+        out[a : a + ids.size] = _philox_blocks(seed, ids, 0, 1)[:, 0]
+    return out
 
 
 def _key_array(keys) -> np.ndarray:
@@ -422,7 +470,10 @@ def eval_poly_rows(limbs: tuple, keys: np.ndarray, gamma) -> np.ndarray:
     KWiseHash.eval_batch one row.
 
     Keys go in blocks of BLOCK_KEYS, so temporaries are bounded by
-    (3*rows or 3*k) x BLOCK_KEYS whatever the batch size. Values stay
+    (3*rows or 3*k) x BLOCK_KEYS whatever the batch size; the blocks'
+    buffers are views of the calling thread's scratch mapping
+    (`_block_buffers`), and the (rows, n) output is a fresh array. It never
+    nests with the mapping's other user, `core.reduce_lanes`. Values stay
     below 2^61 + 8, congruent mod 2^61-1 but not canonical, until the
     last step. Per block:
     1. Powers: P[j] == x^j mod 2^61-1 for j < k, each below 2^61 + 4, by
@@ -485,14 +536,17 @@ def _block_buffers(rows: int, k: int, kc: int, n: int) -> tuple:
     result and a scratch row block; classes is flat and holds the float64
     power limbs, then the class sums. Overlaying buffers whose lifetimes
     do not meet keeps each within (3*rows or 3*k) x n, the size of the
-    largest temporary they replace. They stay three allocations: one
-    larger block, freed at the end of every call, raises glibc's mmap and
-    trim thresholds and with them how the process's later large
-    allocations page-fault.
+    largest temporary they replace. All three are carved, back to back,
+    from the calling thread's scratch mapping (`scratch`), which only
+    grows, so a call after the first at its shape allocates and
+    page-faults none of them: 930 KB at 69 rows and k = 40, and it is
+    never freed while the thread lives. Taking them again, as a shorter
+    last block does, hands out the same memory.
     """
-    shared = max(3 * max((k - 1) // 2, 1), kc, 3 * rows) * n
-    return (np.empty((k, n), dtype=np.uint64), np.empty(shared, dtype=np.uint64),
-            np.empty(max(3 * kc, 3 * rows) * n, dtype=np.uint64))
+    a = k * n
+    b = a + max(3 * max((k - 1) // 2, 1), kc, 3 * rows) * n
+    buf = scratch(b + max(3 * kc, 3 * rows) * n)
+    return buf[:a].reshape(k, n), buf[a:b], buf[b:]
 
 
 def _gamma_runs(gamma: np.ndarray, rows: int) -> list:

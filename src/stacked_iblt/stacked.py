@@ -318,13 +318,21 @@ class StackedSketch(Mutations):
         every table holds original-minus-everything: the decode is complete
         when the store is zero. With in_place=True the sketch itself is
         consumed: afterwards it holds that residual.
+        Extraction takes only cells of count +-1, so once every count from
+        table i to the end of the store is zero, stage i and every later
+        one recover nothing; they are recorded as empty without a pass.
         """
         work = self if in_place else self.copy()
         plus: dict[int, int] = {}
         minus: dict[int, int] = {}
         inconsistent = False
         stage_new: list[tuple[tuple, tuple]] = []
+        base = 0
         for tab in work.tables:
+            if not work._cells.count[base:].any():
+                stage_new += [((), ())] * (len(work.tables) - len(stage_new))
+                break
+            base += tab.rows * tab.cols
             keys, values, signs, glanes = extract(tab._cells, work.checksum)
             take, added, clash = _admit(keys, values, signs, plus, minus)
             inconsistent |= clash

@@ -1,4 +1,7 @@
 import os
+import sys
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,10 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stacked_iblt import hashing
-from stacked_iblt.cli import bad_base_count, is_identity_multiset
+from stacked_iblt.cli import _SEED_STREAM, bad_base_count, is_identity_multiset
 from stacked_iblt.hashing import (MERSENNE61, KWiseHash, PowerHash,
                                   RowStack, SeededStream, _field_rows,
-                                  _philox_blocks, _stream_ids, bucket_stream_id,
+                                  _philox_blocks, _stream_heads, _stream_ids,
+                                  bucket_stream_id,
                                   coeff_limbs, eval_poly_rows, is_prime,
                                   next_prime_at_least)
 from stacked_iblt.reconcile import serialize
@@ -153,6 +157,91 @@ def test_powers_match_pow(k):
     for j in range(k):
         assert [v % MERSENNE61 for v in p[j].tolist()] == \
             [pow(x, j, MERSENNE61) for x in keys.tolist()]
+
+
+def on_fresh_thread(fn):
+    """fn() run on a new thread, whose scratch mapping starts empty."""
+    box = []
+    worker = threading.Thread(target=lambda: box.append(fn()))
+    worker.start()
+    worker.join(timeout=120)
+    assert not worker.is_alive() and len(box) == 1
+    return box[0]
+
+
+def random_stack(rows, k, seed):
+    rng = np.random.default_rng(seed)
+    gamma = rng.integers(1, MERSENNE61, size=rows, dtype=np.uint64)
+    return RowStack(rng.integers(0, MERSENNE61, size=(rows, k), dtype=np.uint64), gamma)
+
+
+def test_warm_kernel_allocates_only_its_output():
+    # The C1 shape: 34 rows, k = 32, 256 keys. The block buffers come from
+    # the thread's scratch mapping, which tracemalloc does not see; what is
+    # left beside the (34, 256) output is numpy's ufunc cast buffer.
+    stack = StackedSketch(Params(n=256, delta=2.0**-8))._stack
+    keys = np.random.default_rng(3).integers(0, MERSENNE61, size=256, dtype=np.uint64)
+    stack.flat_cells(keys)
+    tracemalloc.start()
+    try:
+        out = stack.flat_cells(keys)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (34, 256)
+    assert peak < out.nbytes + 100_000
+
+
+def test_scratch_after_a_larger_shape_gives_fresh_thread_results():
+    big, small = random_stack(69, 40, 1), random_stack(5, 3, 2)
+    keys = np.random.default_rng(4).integers(0, MERSENNE61, size=700, dtype=np.uint64)
+    want_big = on_fresh_thread(lambda: big.flat_cells(keys))
+    want_small = on_fresh_thread(lambda: small.flat_cells(keys[:300]))
+    got_big, got_small, again = on_fresh_thread(lambda: (
+        big.flat_cells(keys), small.flat_cells(keys[:300]), big.flat_cells(keys[:1])))
+    assert np.array_equal(got_big, want_big) and np.array_equal(got_small, want_small)
+    assert np.array_equal(again, want_big[:, :1])
+
+
+def test_no_returned_array_shares_the_scratch_mapping():
+    stack = random_stack(34, 32, 5)
+    keys = np.arange(300, dtype=np.uint64)
+    outs = [stack.flat_cells(keys), stack.flat_cells(keys[:1]),
+            KWiseHash(1, 8, 100).eval_batch(keys),
+            eval_poly_rows(stack.limbs, keys, stack.gamma)]
+    area = hashing._SCRATCH.words
+    assert not any(np.shares_memory(out, area) for out in outs)
+
+
+def test_threads_hashing_different_shapes_match_serial():
+    # Four threads on two cores, each alternating two stack shapes so its
+    # mapping grows mid-run, with a short switch interval.
+    shapes = [(34, 32), (69, 40), (5, 3), (65, 36), (1, 600), (12, 8)]
+    stacks = [random_stack(r, k, i) for i, (r, k) in enumerate(shapes)]
+    keys = np.random.default_rng(6).integers(0, MERSENNE61, size=520, dtype=np.uint64)
+    serial = [st.flat_cells(keys) for st in stacks]
+    start = threading.Barrier(4)
+    bad = []
+
+    def work(i):
+        start.wait(timeout=60)
+        for rep in range(12):
+            j = (i + rep % 2 * 3) % len(stacks)
+            if not np.array_equal(stacks[j].flat_cells(keys), serial[j]):
+                bad.append((i, rep))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        workers = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(w.is_alive() for w in workers)
+    assert bad == []
 
 
 @pytest.mark.parametrize("k", [1, 40, 600])
@@ -597,6 +686,17 @@ def test_stream_determinism_and_bounds():
     assert va == vb
     assert all(0 <= v < 1000 for v in va)
     assert SeededStream(5, 78).below(1 << 100) != SeededStream(5, 79).below(1 << 100)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**64 - 1])
+def test_stream_heads_are_the_cli_trial_seeds(seed, monkeypatch):
+    # decode-failure's per-trial master seeds, one pass for all trials.
+    ids = np.arange(1000, dtype=np.uint64) | np.uint64(_SEED_STREAM)
+    want = [SeededStream(seed, _SEED_STREAM | t).below(2**64) for t in range(1000)]
+    got = _stream_heads(seed, ids)
+    assert got.dtype == np.uint64 and got.tolist() == want
+    monkeypatch.setattr(hashing, "_HEAD_CHUNK", 7)      # chunk edges
+    assert _stream_heads(seed, ids).tolist() == want
 
 
 def test_stream_power_of_two_bound_unbiased_window():

@@ -2,13 +2,16 @@
 the update budget that keeps lanes exact, and non-canonical lanes through
 the envelope and subtraction."""
 
+import threading
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stacked_iblt import core
-from stacked_iblt.core import LANE_BUDGET, reduce_lanes, to_lanes
+from stacked_iblt import core, hashing
+from stacked_iblt.core import LANE_BUDGET, extract, reduce_lanes, to_lanes
 from stacked_iblt.reconcile import deserialize, serialize
 from stacked_iblt.stacked import Params, StackedSketch
 
@@ -75,6 +78,58 @@ def test_reduce_spans_blocks_and_views():
     assert value(reduce_lanes(lanes[:, 5:-3], q)) == want[5:-3]
     assert value(reduce_lanes(np.asfortranarray(lanes[:, :50]), q)) == want[:50]
     assert reduce_lanes(lanes[:, :0], q).shape == (4, 0)
+
+
+def reconcile_store():
+    """The lanes of a `reconcile`-shape sketch (16,720 cells) after 1,152 inserts."""
+    rng = np.random.default_rng(9)
+    s = StackedSketch(Params(n=256, delta=2.0**-10, mode="checksum", master_seed=4))
+    s.insert_arrays(rng.choice(2**55, size=1152, replace=False).astype(np.uint64),
+                    rng.integers(0, 2**64, size=1152, dtype=np.uint64))
+    return s
+
+
+def test_warm_reduce_allocates_only_its_output():
+    # A block's digits and product come from the thread's scratch mapping,
+    # which tracemalloc does not see.
+    s = reconcile_store()
+    lanes, q = s._cells.hash_sum, s.params.q
+    want = reduce_lanes(lanes, q)
+    tracemalloc.start()
+    try:
+        out = reduce_lanes(lanes, q)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (4, 16720) and np.array_equal(out, want)
+    assert peak < out.nbytes + 100_000
+
+
+def test_reduce_after_a_larger_kernel_call_gives_fresh_thread_results():
+    s = reconcile_store()
+    lanes, q = s._cells.hash_sum[:, :5000], s.params.q
+    keys = np.arange(700, dtype=np.uint64)
+
+    def after_kernel():
+        s._stack.flat_cells(keys)               # (65, 36) blocks: a larger mapping
+        return reduce_lanes(lanes, q), reduce_lanes(lanes[:, :9], q)
+
+    box = []
+    worker = threading.Thread(target=lambda: box.append(reduce_lanes(lanes, q)))
+    worker.start()
+    worker.join(timeout=120)
+    assert not worker.is_alive()
+    whole, head = after_kernel()
+    assert np.array_equal(whole, box[0]) and np.array_equal(head, box[0][:, :9])
+
+
+def test_no_lane_array_shares_the_scratch_mapping():
+    s = reconcile_store()
+    outs = [reduce_lanes(s._cells.hash_sum, s.params.q), s._cells.residues(),
+            *extract(s.tables[0]._cells, s.checksum)]
+    assert s.is_zero() is False and s.copy().list_entries(in_place=True).complete
+    area = hashing._SCRATCH.words
+    assert not any(np.shares_memory(out, area) for out in outs)
 
 
 def test_to_lanes_splits_limbs():

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 import stacked_iblt
-from stacked_iblt.core import to_lanes
+from stacked_iblt import stacked
+from stacked_iblt.core import extract, to_lanes
 from stacked_iblt.hashing import KWiseHash, PowerHash, bucket_stream_id
 from stacked_iblt.reconcile import serialize
 from stacked_iblt.stacked import (DEFAULT_BIG_C, MAX_INDEPENDENCE, DecodeOutcome,
@@ -363,6 +364,46 @@ def test_contradicting_pure_cells_mark_inconsistent(mode):
     assert out.inconsistent
     assert out.stage_recoveries[-1] == (((5, 7),), ())
     assert all(stage == ((), ()) for stage in out.stage_recoveries[:-1])
+
+
+@pytest.mark.parametrize("mode, calls", [("checksum", 2), ("plain", 8)])
+def test_stage_loop_stops_once_the_remaining_counts_are_zero(monkeypatch, mode, calls):
+    # At the C1 shape with 16 false deletions: in checksum mode stages 0
+    # and 1 recover everything, so the six later tables hold only zero
+    # counts and are not extracted. In plain mode the -1 cells stay, and
+    # every table is extracted.
+    rng = np.random.default_rng(1)
+    s = StackedSketch(Params(n=256, delta=2.0**-8, mode=mode, master_seed=1))
+    keys = rng.choice(1 << 40, size=256, replace=False).astype(np.uint64)
+    vals = rng.integers(0, 1 << 64, size=256, dtype=np.uint64)
+    s.insert_arrays(keys[:240], vals[:240])
+    s.delete_pairs(list(zip(keys[240:].tolist(), vals[240:].tolist())))
+    seen = []
+
+    def counted(cells, checksum):
+        seen.append(cells.count.size)
+        return extract(cells, checksum)
+
+    monkeypatch.setattr(stacked, "extract", counted)
+    out = s.list_entries()
+    assert seen == [t.rows * t.cols for t in s.tables[:calls]]
+    plus = tuple(sorted(zip(keys[:240].tolist(), vals[:240].tolist())))
+    minus = tuple(sorted(zip(keys[240:].tolist(), vals[240:].tolist())))
+    stages = out.stage_recoveries
+    assert len(stages) == len(s.tables)
+    assert stages[0][0] and stages[1][0] and stages[2:] == (((), ()),) * 6
+    if mode == "checksum":
+        assert out.complete and not out.inconsistent
+        assert tuple(sorted(stages[0][0] + stages[1][0])) == plus
+        assert tuple(sorted(stages[0][1] + stages[1][1])) == minus
+    else:
+        assert not out.complete and not out.inconsistent
+        assert tuple(sorted(stages[0][0] + stages[1][0])) == plus
+    # An empty sketch extracts nothing and records every stage empty.
+    seen.clear()
+    out = StackedSketch(Params(n=256, delta=2.0**-8, mode=mode)).list_entries()
+    assert seen == [] and out.complete
+    assert out.stage_recoveries == (((), ()),) * 8
 
 
 def test_checksum_decode_evaluates_each_power_hash_once(monkeypatch):
