@@ -46,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hashing import MERSENNE61, KWiseHash, PowerHash, RowStack, scratch
+from .hashing import MERSENNE61, KWiseHash, PowerHash, RowStack, thread_scratch
 
 PLAIN_CELL_BYTES = 24       # key_sum + value_sum + count
 # + a 128-bit hash_sum: the envelope's and the paper's width, which
@@ -120,11 +120,11 @@ def reduce_lanes(lanes: np.ndarray, q: int, out: np.ndarray | None = None) -> np
     The limbs go to `out` (a new array when None; it may be `lanes`), one
     block of _REDUCE_BLOCK cells at a time. A block's digits and GEMM
     product, 21 float64 a cell (688 KB for a whole block), are views of the
-    calling thread's scratch mapping (`hashing.scratch`), which only grows
-    and is kept while the thread lives: freed at the end of every block,
-    buffers this size lie above glibc's mmap threshold and page-fault in
-    afresh at the next one. This never nests with the mapping's other
-    user, `hashing.eval_poly_rows`.
+    calling thread's scratch area (`hashing.thread_scratch`), a mapping
+    kept while the thread lives: freed at the end of every block, buffers
+    this size lie above glibc's mmap threshold and page-fault in afresh at
+    the next one. This never nests with the area's other user,
+    `hashing.eval_poly_rows`.
     """
     if out is None:
         out = np.empty(lanes.shape, dtype=np.int64)
@@ -138,7 +138,7 @@ def _reduce_block(lanes: np.ndarray, q: int, out: np.ndarray) -> None:
     # `lanes`: the digits are read before out is written.
     m = lanes.shape[1]
     quotient_row, rem, q_limbs = _fold(q)
-    work = scratch(21 * m).view(np.float64)
+    work = thread_scratch(21 * m).view(np.float64)
     digits = work[:17 * m].reshape(17, m)   # 16 digits then the quotient
     product = work[17 * m:].reshape(4, m)
     if lanes.strides[1] != 8:               # the pieces view needs contiguous rows

@@ -18,14 +18,18 @@ below 2^61 + 8, congruent but not reduced, until one canonical step
 before the reduction mod each row's bucket range.
 
 The block kernels (`eval_poly_rows` here, `core.reduce_lanes`) take their
-temporaries from one scratch mapping per thread (`scratch`): an anonymous
-mapping, not heap memory, that only grows and is kept while the thread
-lives. Buffers of this size freed at the end of every call lie above
-glibc's mmap threshold, so each call would page-fault them in afresh;
-kept, a small sketch's evaluation takes no page fault at all, and the
-mapping leaves the malloc heap's layout as it was. It is about 1 MB at
-most at the largest shape in use (930 KB for 69 rows, k = 40). Every
-array a caller receives is a fresh allocation.
+temporaries from one scratch area per thread (`thread_scratch`): a
+private anonymous mapping of 1 MiB, not heap memory, made at the
+thread's first request and kept while the thread lives. Buffers of this
+size freed at the end of every call lie above glibc's mmap threshold, so
+each call would page-fault them in afresh; kept, a small sketch's
+evaluation takes no page fault at all, and the mapping leaves the malloc
+heap's layout as it was. Only the pages a thread has used are resident:
+483 KB for 34 rows at k = 32, 930 KB for 69 rows at k = 40. A larger
+request (256 rows at k = 32 take 3.2 MB, k = 4096 about 24 MB) gets a
+fresh array per call instead, so no thread keeps more than 1 MiB. Being
+private, the mapping is copied on write into a forked child, not shared
+with it. Every array a caller receives is a fresh allocation.
 
 The checksum family maps a key x to a^x mod q for a base a drawn once per
 sketch; it is what lets a table distinguish a cell holding one genuine
@@ -121,24 +125,30 @@ _STREAM_BLOCKS = 16
 # Streams per `_stream_heads` pass: its work buffer stays near 1 MB.
 _HEAD_CHUNK = 4096
 
-# The calling thread's scratch mapping (`scratch`), as the attribute `words`.
+# Words in a thread's scratch area: the largest block buffers in use, 930
+# KB for 69 rows at k = 40, fit.
+_SCRATCH_WORDS = 1 << 17
+# The calling thread's scratch area (`thread_scratch`), as the attribute `words`.
 _SCRATCH = threading.local()
 
 
-def scratch(words: int) -> np.ndarray:
-    """The first `words` words, uint64, of the calling thread's scratch mapping.
+def thread_scratch(words: int) -> np.ndarray:
+    """`words` uint64 words of scratch, the calling thread's area when they fit.
 
-    The mapping is anonymous (`mmap`), not heap memory, and only grows: a
-    request larger than it replaces it with one of that size, rounded up
-    to whole pages, and nothing else frees it while the thread lives.
-    Every call returns the mapping's start, so its users never nest, and
-    no view of it outlives the call that took it or reaches a caller.
+    The area is a private anonymous mapping (`mmap`) of _SCRATCH_WORDS
+    words, not heap memory, made at the thread's first request and kept
+    while the thread lives; its pages are resident once used. A request
+    that fits gets the area's start, so its users never nest, and no view
+    of it outlives the call that took it or reaches a caller. A larger
+    request gets a fresh array, which its caller frees.
     """
-    buf = getattr(_SCRATCH, "words", None)
-    if buf is None or buf.size < words:
-        size = -(-max(words, 1) * 8 // mmap.PAGESIZE) * mmap.PAGESIZE
-        buf = _SCRATCH.words = np.frombuffer(mmap.mmap(-1, size), dtype=np.uint64)
-    return buf[:words]
+    if words > _SCRATCH_WORDS:
+        return np.empty(words, dtype=np.uint64)
+    area = getattr(_SCRATCH, "words", None)
+    if area is None:
+        area = _SCRATCH.words = np.frombuffer(
+            mmap.mmap(-1, _SCRATCH_WORDS * 8, flags=mmap.MAP_PRIVATE), dtype=np.uint64)
+    return area[:words]
 
 
 def _stream_ids(stream_ids) -> np.ndarray:
@@ -471,9 +481,9 @@ def eval_poly_rows(limbs: tuple, keys: np.ndarray, gamma) -> np.ndarray:
 
     Keys go in blocks of BLOCK_KEYS, so temporaries are bounded by
     (3*rows or 3*k) x BLOCK_KEYS whatever the batch size; the blocks'
-    buffers are views of the calling thread's scratch mapping
+    buffers come from the calling thread's scratch area
     (`_block_buffers`), and the (rows, n) output is a fresh array. It never
-    nests with the mapping's other user, `core.reduce_lanes`. Values stay
+    nests with the area's other user, `core.reduce_lanes`. Values stay
     below 2^61 + 8, congruent mod 2^61-1 but not canonical, until the
     last step. Per block:
     1. Powers: P[j] == x^j mod 2^61-1 for j < k, each below 2^61 + 4, by
@@ -511,20 +521,20 @@ def eval_poly_rows(limbs: tuple, keys: np.ndarray, gamma) -> np.ndarray:
         acc, j = None, 0
         for c in limbs:
             kc = c.shape[2] // 3
-            t, scratch = _limb_classes(c, powers[j : j + kc], shared, classes)
+            t, spare = _limb_classes(c, powers[j : j + kc], shared, classes)
             j += kc
             if acc is not None:
                 t += acc            # < 2^62 + 2^61 + 8
-            acc = _fold(t, scratch)
+            acc = _fold(t, spare)
             if j < k:
                 acc = acc.copy()    # the next chunk reuses t's buffer
         # acc < 2^61 + 8 < 2*(2^61-1): one subtraction makes it canonical.
-        np.subtract(acc, _M61, out=scratch)
-        np.minimum(acc, scratch, out=acc)
+        np.subtract(acc, _M61, out=spare)
+        np.minimum(acc, spare, out=acc)
         for a, b, g in runs:
-            np.floor_divide(acc[a:b], g, out=scratch[a:b])
-        scratch *= gamma
-        np.subtract(acc, scratch, out=out[:, start : start + acc.shape[1]])
+            np.floor_divide(acc[a:b], g, out=spare[a:b])
+        spare *= gamma
+        np.subtract(acc, spare, out=out[:, start : start + acc.shape[1]])
     return out
 
 
@@ -537,15 +547,17 @@ def _block_buffers(rows: int, k: int, kc: int, n: int) -> tuple:
     power limbs, then the class sums. Overlaying buffers whose lifetimes
     do not meet keeps each within (3*rows or 3*k) x n, the size of the
     largest temporary they replace. All three are carved, back to back,
-    from the calling thread's scratch mapping (`scratch`), which only
-    grows, so a call after the first at its shape allocates and
-    page-faults none of them: 930 KB at 69 rows and k = 40, and it is
-    never freed while the thread lives. Taking them again, as a shorter
-    last block does, hands out the same memory.
+    from one `thread_scratch` request of
+        (k + max(3*max((k-1)//2, 1), kc, 3*rows) + max(3*kc, 3*rows)) * n
+    words: 930 KB at 69 rows, k = 40 and n = 256, inside the calling
+    thread's area, so a call after the first at its shape allocates and
+    page-faults none of them. Past the area (3.2 MB at 256 rows and k =
+    32), the request is one fresh array per call. Inside the area, taking
+    them again, as a shorter last block does, hands out the same memory.
     """
     a = k * n
     b = a + max(3 * max((k - 1) // 2, 1), kc, 3 * rows) * n
-    buf = scratch(b + max(3 * kc, 3 * rows) * n)
+    buf = thread_scratch(b + max(3 * kc, 3 * rows) * n)
     return buf[:a].reshape(k, n), buf[a:b], buf[b:]
 
 

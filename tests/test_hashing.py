@@ -159,16 +159,6 @@ def test_powers_match_pow(k):
             [pow(x, j, MERSENNE61) for x in keys.tolist()]
 
 
-def on_fresh_thread(fn):
-    """fn() run on a new thread, whose scratch mapping starts empty."""
-    box = []
-    worker = threading.Thread(target=lambda: box.append(fn()))
-    worker.start()
-    worker.join(timeout=120)
-    assert not worker.is_alive() and len(box) == 1
-    return box[0]
-
-
 def random_stack(rows, k, seed):
     rng = np.random.default_rng(seed)
     gamma = rng.integers(1, MERSENNE61, size=rows, dtype=np.uint64)
@@ -177,7 +167,7 @@ def random_stack(rows, k, seed):
 
 def test_warm_kernel_allocates_only_its_output():
     # The C1 shape: 34 rows, k = 32, 256 keys. The block buffers come from
-    # the thread's scratch mapping, which tracemalloc does not see; what is
+    # the thread's scratch area, which tracemalloc does not see; what is
     # left beside the (34, 256) output is numpy's ufunc cast buffer.
     stack = StackedSketch(Params(n=256, delta=2.0**-8))._stack
     keys = np.random.default_rng(3).integers(0, MERSENNE61, size=256, dtype=np.uint64)
@@ -192,30 +182,76 @@ def test_warm_kernel_allocates_only_its_output():
     assert peak < out.nbytes + 100_000
 
 
-def test_scratch_after_a_larger_shape_gives_fresh_thread_results():
+def test_scratch_after_a_larger_shape_gives_fresh_thread_results(on_fresh_thread):
+    # 256 rows at k = 32 need 3.2 MB, past the area; 69 rows at k = 40
+    # fill 930 KB of it, and 5 rows at k = 3 reuse its start.
+    huge = random_stack(256, 32, 3)
     big, small = random_stack(69, 40, 1), random_stack(5, 3, 2)
     keys = np.random.default_rng(4).integers(0, MERSENNE61, size=700, dtype=np.uint64)
+    want_huge = on_fresh_thread(lambda: huge.flat_cells(keys))
     want_big = on_fresh_thread(lambda: big.flat_cells(keys))
     want_small = on_fresh_thread(lambda: small.flat_cells(keys[:300]))
-    got_big, got_small, again = on_fresh_thread(lambda: (
-        big.flat_cells(keys), small.flat_cells(keys[:300]), big.flat_cells(keys[:1])))
+    got_huge, got_big, got_small, again = on_fresh_thread(lambda: (
+        huge.flat_cells(keys), big.flat_cells(keys), small.flat_cells(keys[:300]),
+        big.flat_cells(keys[:1])))
+    assert np.array_equal(got_huge, want_huge)
     assert np.array_equal(got_big, want_big) and np.array_equal(got_small, want_small)
     assert np.array_equal(again, want_big[:, :1])
 
 
-def test_no_returned_array_shares_the_scratch_mapping():
-    stack = random_stack(34, 32, 5)
-    keys = np.arange(300, dtype=np.uint64)
-    outs = [stack.flat_cells(keys), stack.flat_cells(keys[:1]),
-            KWiseHash(1, 8, 100).eval_batch(keys),
-            eval_poly_rows(stack.limbs, keys, stack.gamma)]
-    area = hashing._SCRATCH.words
-    assert not any(np.shares_memory(out, area) for out in outs)
+def test_a_request_past_the_area_gets_a_fresh_array(on_fresh_thread):
+    def requests():
+        fits = hashing.thread_scratch(hashing._SCRATCH_WORDS)
+        past = hashing.thread_scratch(hashing._SCRATCH_WORDS + 1)
+        return fits, past, hashing.thread_scratch(8), hashing._SCRATCH.words
+
+    fits, past, small, area = on_fresh_thread(requests)
+    assert area.size == hashing._SCRATCH_WORDS and area.dtype == np.uint64
+    assert fits.size == area.size and np.shares_memory(fits, area)
+    assert past.size == area.size + 1 and not np.shares_memory(past, area)
+    assert small.size == 8 and small.ctypes.data == area.ctypes.data
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_forked_children_do_not_share_the_scratch_area():
+    # Two children forked after the parent has used its area hash other
+    # shapes while the parent hashes too; each must see only its own
+    # writes, and every result must match the serial one.
+    stacks = [random_stack(r, k, 20 + i) for i, (r, k) in enumerate([(34, 32), (69, 40), (12, 8)])]
+    keys = np.random.default_rng(7).integers(0, MERSENNE61, size=520, dtype=np.uint64)
+    serial = [st.flat_cells(keys) for st in stacks]
+
+    def mismatches(j):
+        return sum(not np.array_equal(stacks[j].flat_cells(keys), serial[j]) for _ in range(40))
+
+    go_read, go_write = os.pipe()
+    children = []
+    for j in (1, 2):
+        read, write = os.pipe()
+        pid = os.fork()
+        if pid == 0:
+            status = 1
+            try:
+                os.close(read)
+                os.read(go_read, 1)
+                os.write(write, bytes([min(mismatches(j), 255)]))
+                status = 0
+            finally:
+                os._exit(status)
+        os.close(write)
+        children.append((pid, read))
+    os.write(go_write, b"go")
+    bad = mismatches(0)
+    reports = [os.read(read, 1) for _, read in children]
+    statuses = [os.waitpid(pid, 0)[1] for pid, _ in children]
+    for fd in (go_read, go_write, *(read for _, read in children)):
+        os.close(fd)
+    assert statuses == [0, 0] and reports == [b"\0", b"\0"] and bad == 0
 
 
 def test_threads_hashing_different_shapes_match_serial():
-    # Four threads on two cores, each alternating two stack shapes so its
-    # mapping grows mid-run, with a short switch interval.
+    # Four threads on two cores with a short switch interval, each
+    # alternating two stack shapes; (1, 600) does not fit the area.
     shapes = [(34, 32), (69, 40), (5, 3), (65, 36), (1, 600), (12, 8)]
     stacks = [random_stack(r, k, i) for i, (r, k) in enumerate(shapes)]
     keys = np.random.default_rng(6).integers(0, MERSENNE61, size=520, dtype=np.uint64)

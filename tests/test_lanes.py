@@ -2,7 +2,6 @@
 the update budget that keeps lanes exact, and non-canonical lanes through
 the envelope and subtraction."""
 
-import threading
 import tracemalloc
 
 import numpy as np
@@ -12,6 +11,7 @@ from hypothesis import strategies as st
 
 from stacked_iblt import core, hashing
 from stacked_iblt.core import LANE_BUDGET, extract, reduce_lanes, to_lanes
+from stacked_iblt.hashing import KWiseHash, eval_poly_rows
 from stacked_iblt.reconcile import deserialize, serialize
 from stacked_iblt.stacked import Params, StackedSketch
 
@@ -90,7 +90,7 @@ def reconcile_store():
 
 
 def test_warm_reduce_allocates_only_its_output():
-    # A block's digits and product come from the thread's scratch mapping,
+    # A block's digits and product come from the thread's scratch area,
     # which tracemalloc does not see.
     s = reconcile_store()
     lanes, q = s._cells.hash_sum, s.params.q
@@ -105,31 +105,31 @@ def test_warm_reduce_allocates_only_its_output():
     assert peak < out.nbytes + 100_000
 
 
-def test_reduce_after_a_larger_kernel_call_gives_fresh_thread_results():
+def test_reduce_after_a_larger_kernel_call_gives_fresh_thread_results(on_fresh_thread):
     s = reconcile_store()
     lanes, q = s._cells.hash_sum[:, :5000], s.params.q
-    keys = np.arange(700, dtype=np.uint64)
-
-    def after_kernel():
-        s._stack.flat_cells(keys)               # (65, 36) blocks: a larger mapping
-        return reduce_lanes(lanes, q), reduce_lanes(lanes[:, :9], q)
-
-    box = []
-    worker = threading.Thread(target=lambda: box.append(reduce_lanes(lanes, q)))
-    worker.start()
-    worker.join(timeout=120)
-    assert not worker.is_alive()
-    whole, head = after_kernel()
-    assert np.array_equal(whole, box[0]) and np.array_equal(head, box[0][:, :9])
+    want = on_fresh_thread(lambda: reduce_lanes(lanes, q))
+    s._stack.flat_cells(np.arange(700, dtype=np.uint64))   # (65, 36): 872 KB of the area
+    assert np.array_equal(reduce_lanes(lanes, q), want)
+    assert np.array_equal(reduce_lanes(lanes[:, :9], q), want[:, :9])
 
 
-def test_no_lane_array_shares_the_scratch_mapping():
+RETURNED = {
+    "flat_cells": lambda s, keys: [s._stack.flat_cells(keys), s._stack.flat_cells(keys[:1])],
+    "eval_poly_rows": lambda s, keys: [eval_poly_rows(s._stack.limbs, keys, s._stack.gamma)],
+    "eval_batch": lambda s, keys: [KWiseHash(1, 8, 100).eval_batch(keys)],
+    "reduce_lanes": lambda s, keys: [reduce_lanes(s._cells.hash_sum, s.params.q)],
+    "residues": lambda s, keys: [s._cells.residues()],
+    "extract": lambda s, keys: list(extract(s.tables[0]._cells, s.checksum)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RETURNED))
+def test_no_returned_array_shares_the_scratch_area(name):
     s = reconcile_store()
-    outs = [reduce_lanes(s._cells.hash_sum, s.params.q), s._cells.residues(),
-            *extract(s.tables[0]._cells, s.checksum)]
-    assert s.is_zero() is False and s.copy().list_entries(in_place=True).complete
+    outs = RETURNED[name](s, np.arange(300, dtype=np.uint64))
     area = hashing._SCRATCH.words
-    assert not any(np.shares_memory(out, area) for out in outs)
+    assert outs and not any(np.shares_memory(out, area) for out in outs)
 
 
 def test_to_lanes_splits_limbs():
