@@ -11,18 +11,17 @@ Values are arbitrary uint64.
 
 Cells live in a `CellStore`: one flat array per field, row-major. A
 table's plain grids are (rows, cols) views of its store; a StackedSketch
-keeps one store for all its tables, table after table, and each of its
-tables views its own segment.
+keeps one store for all its tables, and its tables are read-only views.
 
 Mutation has one path, shared with StackedSketch: the `Mutations`
 adapters (insert, insert_arrays, delete, delete_pairs) validate each
 batch once in `_update`, hash it once with the class's row stack
 `_stack` (indices into its store), and hand the indices with the (keys,
 values, weights) arrays to its trusted `_apply`. Both classes' `_apply`,
-and the stacked decoder, call the one `scatter`: it ravels the (rows, n)
-indices and tiles the signed keys, values and weights to match, so each
-field (each hash lane) takes one 1-D `np.add.at` (numpy's fast path for
-`ufunc.at`).
+and the stacked decoder, call the one `scatter`: it refuses a read-only
+store, ravels the (rows, n) indices and tiles the signed keys, values and
+weights to match, so each field (each hash lane) takes one 1-D
+`np.add.at` (numpy's fast path for `ufunc.at`).
 Extraction is an array stage as well: `extract` returns a store's pure
 cells as (keys, values, signs, glanes) arrays, checked in checksum mode by
 one `eval_batch` whose power hashes, as lanes, the decoder's scatter
@@ -218,10 +217,8 @@ class Mutations:
 
 @dataclass(eq=False, slots=True)
 class LaneBudget:
-    """What a checksum store shares with its segments: the whole store's
-    (4, size) lanes, the modulus q and the store's update bound."""
+    """A checksum store's modulus q and update bound, shared with its segments."""
 
-    lanes: np.ndarray
     modulus: int
     updates: int = 1
 
@@ -243,8 +240,8 @@ class CellStore:
     difference of stores has the sum of their bounds. `reserve` reduces the
     whole store in place, back to B = 1, before B could pass LANE_BUDGET =
     2^30, so a lane stays below 2^30 * 2^32 = 2^62 and a difference of two
-    stores below 2^63: no lane overflows. Segments share their store's
-    budget, and a segment's reserve reduces the whole store.
+    stores below 2^63: no lane overflows. Segments are read-only and share
+    their store's budget, so they read its current bound but never reserve.
     """
 
     key_sum: np.ndarray
@@ -265,16 +262,19 @@ class CellStore:
 
     def _own_lanes(self, lanes: np.ndarray, modulus: int, updates: int) -> None:
         # Lanes of this store's own, not a segment's view.
-        self.hash_sum, self.budget = lanes, LaneBudget(lanes, modulus, updates)
+        self.hash_sum, self.budget = lanes, LaneBudget(modulus, updates)
 
     def fields(self) -> tuple:
         """The field arrays, hash_sum last and only in checksum mode."""
         out = (self.key_sum, self.value_sum, self.count)
         return out if self.hash_sum is None else out + (self.hash_sum,)
 
-    def segment(self, start: int, stop: int) -> "CellStore":
-        """A store viewing cells [start, stop) of this one, sharing its budget."""
-        return CellStore(*(a[..., start:stop] for a in self.fields()), self.budget)
+    def segment(self, cells: slice) -> "CellStore":
+        """A read-only view of `cells`, sharing the budget; `scatter` refuses it."""
+        out = CellStore(*(a[..., cells] for a in self.fields()), self.budget)
+        for a in out.fields():
+            a.flags.writeable = False
+        return out
 
     def copy(self) -> "CellStore":
         out = CellStore(*(a.copy() for a in self.fields()[:3]))
@@ -297,7 +297,7 @@ class CellStore:
         canonical limbs) if the bound would pass LANE_BUDGET; n < LANE_BUDGET."""
         budget = self.budget
         if budget.updates + n > LANE_BUDGET:
-            reduce_lanes(budget.lanes, budget.modulus, out=budget.lanes)
+            reduce_lanes(self.hash_sum, budget.modulus, out=self.hash_sum)
             budget.updates = 1
         budget.updates += n
 
@@ -334,7 +334,11 @@ def scatter(cells: CellStore, checksum: PowerHash | None, flat, keys, values, we
     power hashes of the keys as `to_lanes` limbs, are computed when not
     given. Each hash lane takes w * limb unreduced, in blocks of fewer than
     LANE_BUDGET keys, each first counted by `CellStore.reserve`.
+    A read-only store raises ValueError: `np.add.at` would write through
+    it, flag or not, so this check is what keeps a segment read-only.
     """
+    if not cells.count.flags.writeable:
+        raise ValueError("read-only cells: a sketch's tables are views; update the sketch")
     rows = flat.shape[0]
     idx = flat.reshape(-1)
     neg = weights < 0
@@ -417,8 +421,8 @@ class BasicTable(Mutations):
         """A table with these rows over `cells`, shared, not copied."""
         return BasicTable.__new__(BasicTable)._bind(self._stack, self.checksum, cells)
 
-    # The (rows, cols) grids: key_sum, value_sum and count are views of the
-    # flat store, written through; hash_sum is reduced from its lanes.
+    # The (rows, cols) grids: key_sum, value_sum and count view the flat
+    # store (read-only where it is); hash_sum is reduced from its lanes.
 
     @property
     def key_sum(self) -> np.ndarray:

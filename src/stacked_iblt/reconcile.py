@@ -27,15 +27,14 @@ checked against the 64-bit layout digest, so a drifting recomputation can
 never silently desynchronize peers. A layout too large for the digest's
 u64 fields is refused, and the digest checked, before any payload is
 touched. Params bound k (MAX_INDEPENDENCE), which the digest does not
-cover, before the receiver builds any hash. A hash_sum >= q is
-refused, naming the table of the first such cell.
+cover, before the receiver builds any hash. Plain mode's p and q must be
+0. A hash_sum >= q is refused, naming the table of the first such cell.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import hashlib
-import itertools
 import math
 import struct
 
@@ -106,6 +105,8 @@ def deserialize(data: bytes) -> StackedSketch:
         raise EnvelopeError("non-finite delta")
     mode = "checksum" if mode_byte else "plain"
     q = int.from_bytes(q_raw, "little")
+    if not mode_byte and (p_raw or q):
+        raise EnvelopeError(f"plain envelope with nonzero {'p' if p_raw else 'q'}")
     try:
         params = Params(n=n, delta=delta, big_c=big_c, c0=c0, k=k, mode=mode,
                         p=p_raw if mode_byte else None,
@@ -129,12 +130,12 @@ def deserialize(data: bytes) -> StackedSketch:
         q_hi, q_lo = np.uint64(q >> 64), np.uint64(q & _MASK64)
         bad = np.flatnonzero((h1 > q_hi) | ((h1 == q_hi) & (h0 >= q_lo)))
         if bad.size:
-            ends = itertools.accumulate(r * c for r, c in layout.tables)
-            table = next(t for t, end in enumerate(ends) if bad[0] < end)
+            table = next(t for t, (_, cells) in enumerate(layout.spans)
+                         if bad[0] < cells.stop)
             raise EnvelopeError(f"table {table}: hash_sum not reduced mod q")
     sketch = StackedSketch(params)
     sketch.item_balance = balance
-    cells = sketch._cells       # written in place: the tables view it
+    cells = sketch._cells       # written in place: the sketch owns its cells
     cells.key_sum[:], cells.value_sum[:], cells.count[:] = rec["k"], rec["v"], rec["c"]
     if mode_byte:
         lanes = cells.hash_sum      # canonical limbs, within the fresh store's bound

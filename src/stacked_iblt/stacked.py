@@ -6,16 +6,15 @@ ceil(C*n*2^-i) columns while the expected remaining load stays above tau,
 then groups of 2^i rows with ceil(C*tau*2^-i) columns.
 
 Store: the cells of all tables live in one flat `CellStore`, table after
-table, each table row-major; every table's plain grids are views of its
-segment. Hashing is stacked the same way: the bucket polynomials of all
-R rows are one `RowStack`, drawn at construction from the master seed
-(row r of table t from stream `bucket_stream_id(t, r)`) into one (R, k)
-matrix with its kernel limbs and per-row store offsets (table base +
-row * cols). One `flat_cells` call gives a batch's store indices for
-every row of every table, and one `scatter` applies it; each table holds
-its rows' segment of the stack. `StackedSketch.over_rows` injects a given
-stack instead, for tests that fix the hashing; such a sketch refuses
-`serialize` and `subtract`, since a peer cannot rebuild its rows.
+table, each row-major. Hashing is stacked the same way: the bucket
+polynomials of all R rows are one `RowStack`, drawn at construction from
+the master seed (row r of table t from stream `bucket_stream_id(t, r)`)
+into one (R, k) matrix with its kernel limbs and per-row store offsets
+(table base + row * cols). One `flat_cells` call gives a batch's indices
+for every row of every table, and one `scatter` applies it. Only the
+sketch writes its cells: `tables` are read-only views, bounded by
+`LayoutPlan.spans`. `over_rows` injects a given stack instead, for tests
+that fix the hashing; such a sketch refuses `serialize` and `subtract`.
 
 Decoding peels each table once, in order: `core.extract` returns table
 i's pure cells as arrays (with their power hashes in checksum mode), and
@@ -29,7 +28,6 @@ whole store is zero.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import operator
 from dataclasses import dataclass, field
@@ -192,9 +190,18 @@ class LayoutPlan:
     capacity: int
     single_count: int
 
+    @functools.cached_property
+    def spans(self) -> tuple[tuple[slice, slice], ...]:
+        """Per table, (its rows' slice of the row stack, its cells' slice of the store)."""
+        out, row, cell = [], 0, 0
+        for rows, cols in self.tables:
+            out.append((slice(row, row + rows), slice(cell, cell + rows * cols)))
+            row, cell = row + rows, cell + rows * cols
+        return tuple(out)
+
     @property
     def total_cells(self) -> int:
-        return sum(r * c for r, c in self.tables)
+        return self.spans[-1][1].stop
 
     def cell_bound(self, big_c: float) -> float:
         """Closed-form cap 2*C*n + C*tau*(lg tau + 1) on total cells."""
@@ -244,7 +251,7 @@ class DecodeOutcome:
 class StackedSketch(Mutations):
     """Ordered stack of peelable tables driven by one master seed."""
 
-    __slots__ = ("params", "layout", "tables", "item_balance", "_seeded", "_stack",
+    __slots__ = ("params", "layout", "checksum", "item_balance", "_seeded", "_stack",
                  "_cells")
 
     def __init__(self, params: Params):
@@ -270,23 +277,23 @@ class StackedSketch(Mutations):
         # allocated: the draw's freed temporaries then sit above the store,
         # not in holes below it whose reuse, and with it where glibc trims
         # the heap after a large op, varies from one process to the next.
-        power = None
-        if params.mode == "checksum":
-            power = PowerHash(params.master_seed, params.p, params.q)
+        power = (PowerHash(params.master_seed, params.p, params.q)
+                 if params.mode == "checksum" else None)
         self._cells = CellStore.zeros(layout.total_cells, power)
         self._seeded = stack is None
         if stack is None:
             stack = RowStack.draw(params.master_seed, params.k, layout.tables)
-        self.params, self.layout, self._stack = params, layout, stack
-        starts = itertools.accumulate((rows for rows, _ in layout.tables), initial=0)
-        self.tables = _tables_over([stack.segment(a, a + rows)
-                                    for a, (rows, _) in zip(starts, layout.tables)],
-                                   power, self._cells)
+        self.params, self.layout, self.checksum, self._stack = params, layout, power, stack
         self.item_balance = 0
 
     @property
-    def checksum(self) -> PowerHash | None:
-        return self.tables[0].checksum
+    def tables(self) -> list[BasicTable]:
+        """Read-only `BasicTable` views, one per table, made on each access: a
+        view shows later writes to the sketch, refuses its own (ValueError),
+        and its `copy()` is a writable standalone table."""
+        return [BasicTable.__new__(BasicTable)._bind(self._stack.segment(rows.start, rows.stop),
+                                                     self.checksum, self._cells.segment(cells))
+                for rows, cells in self.layout.spans]
 
     # -- mutation ---------------------------------------------------------
 
@@ -327,13 +334,11 @@ class StackedSketch(Mutations):
         minus: dict[int, int] = {}
         inconsistent = False
         stage_new: list[tuple[tuple, tuple]] = []
-        base = 0
-        for tab in work.tables:
-            if not work._cells.count[base:].any():
-                stage_new += [((), ())] * (len(work.tables) - len(stage_new))
+        for _, cells in work.layout.spans:
+            if not work._cells.count[cells.start:].any():
+                stage_new += [((), ())] * (len(work.layout.spans) - len(stage_new))
                 break
-            base += tab.rows * tab.cols
-            keys, values, signs, glanes = extract(tab._cells, work.checksum)
+            keys, values, signs, glanes = extract(work._cells.segment(cells), work.checksum)
             take, added, clash = _admit(keys, values, signs, plus, minus)
             inconsistent |= clash
             stage_new.append(added)
@@ -368,9 +373,9 @@ class StackedSketch(Mutations):
     def _derive(self, cells: CellStore, item_balance: int) -> "StackedSketch":
         # A sketch with these params and rows over the given store.
         out = StackedSketch.__new__(StackedSketch)
-        out.params, out.layout, out._seeded = self.params, self.layout, self._seeded
-        out._stack, out._cells, out.item_balance = self._stack, cells, item_balance
-        out.tables = _tables_over([t._stack for t in self.tables], self.checksum, cells)
+        out.params, out.layout, out.checksum = self.params, self.layout, self.checksum
+        out._seeded, out._stack = self._seeded, self._stack
+        out._cells, out.item_balance = cells, item_balance
         return out
 
     def __eq__(self, other) -> bool:
@@ -378,22 +383,12 @@ class StackedSketch(Mutations):
             return NotImplemented
         return (self.params == other.params
                 and self.item_balance == other.item_balance
-                and self.tables == other.tables)
+                and self._stack == other._stack
+                and self._cells.minus(other._cells).is_zero())
 
     def __repr__(self):
         return (f"StackedSketch(n={self.params.n}, delta={self.params.delta}, "
-                f"mode={self.params.mode}, tables={len(self.tables)})")
-
-
-def _tables_over(stacks: list, checksum: PowerHash | None, cells: CellStore) -> list:
-    # One table per row-stack segment, each over its own segment of `cells`.
-    tables, base = [], 0
-    for stack in stacks:
-        size = int(stack.gamma.sum())
-        tables.append(BasicTable.__new__(BasicTable)._bind(
-            stack, checksum, cells.segment(base, base + size)))
-        base += size
-    return tables
+                f"mode={self.params.mode}, tables={len(self.layout.tables)})")
 
 
 def _admit(keys, values, signs, plus: dict, minus: dict) -> tuple[list, tuple, bool]:

@@ -114,19 +114,36 @@ def test_non_finite_delta_rejected():
         deserialize(bytes(blob))
 
 
+@pytest.mark.parametrize("fields, name", [
+    ({"p": 12345}, "p"), ({"q": (999).to_bytes(16, "little")}, "q"),
+    ({"p": 12345, "q": (999).to_bytes(16, "little")}, "p")])
+def test_plain_envelope_with_nonzero_p_or_q_rejected(fields, name):
+    # Plain mode has no p or q: a nonzero field would give one sketch a
+    # second encoding, so the envelope is refused, naming the field.
+    blob = with_header(serialize(filled(PLAIN)[0]), **fields)
+    with pytest.raises(EnvelopeError, match=f"plain envelope with nonzero {name}$"):
+        deserialize(blob)
+
+
 def test_non_canonical_hash_sum_rejected():
     # hash_sum == q is congruent to 0 but not reduced: an empty sketch
-    # carrying it would decode as incomplete, so the envelope is refused.
-    layout = plan_layout(CHECK)
-    last_h = len(serialize(StackedSketch(CHECK))) - 16
-    for value, ok in ((CHECK.q - 1, True), (CHECK.q, False), ((1 << 128) - 1, False)):
-        blob = bytearray(serialize(StackedSketch(CHECK)))
-        blob[last_h:] = value.to_bytes(16, "little")
-        if ok:
-            assert deserialize(bytes(blob)).tables[-1].hash_sum[-1, -1] == value
-            continue
-        with pytest.raises(EnvelopeError, match=f"table {len(layout.tables) - 1}"):
-            deserialize(bytes(blob))
+    # carrying it would decode as incomplete, so the envelope is refused,
+    # naming the cell's table. Each table's first and last cell are tried;
+    # q - 1 is canonical and shows in that table's grid.
+    empty = serialize(StackedSketch(CHECK))
+    end = 0
+    for t, (rows, cols) in enumerate(plan_layout(CHECK).tables):
+        end += rows * cols
+        for cell, at in ((end - rows * cols, (0, 0)), (end - 1, (-1, -1))):
+            off = _HEADER.size + 40 * cell + 24     # the cell's u128 hash_sum
+            for value, ok in ((CHECK.q - 1, True), (CHECK.q, False), ((1 << 128) - 1, False)):
+                blob = bytearray(empty)
+                blob[off:off + 16] = value.to_bytes(16, "little")
+                if ok:
+                    assert deserialize(bytes(blob)).tables[t].hash_sum[at] == value
+                    continue
+                with pytest.raises(EnvelopeError, match=f"table {t}: hash_sum"):
+                    deserialize(bytes(blob))
 
 
 def test_oversized_k_rejected_before_allocation():

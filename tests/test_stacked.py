@@ -271,16 +271,21 @@ def test_stacked_cells_match_per_table_bucket_rows():
 
 
 def test_sketch_tables_hash_within_their_segments():
-    # A table of a sketch hashes with its rows' segment of the stack, so a
-    # pair inserted through it lands once per row of that table only.
-    s = StackedSketch(Params(n=64, delta=2.0**-6, master_seed=4))
-    for i, t in enumerate(s.tables):
-        t.insert([(5, 7)])
+    # A table of a sketch views its rows' segment of the stack and its
+    # cells' segment of the store: a pair inserted into the sketch shows
+    # once per row of every table, at that row's bucket, and a standalone
+    # copy of the empty table hashes the pair to the same cells.
+    p = Params(n=64, delta=2.0**-6, master_seed=4)
+    s, empty = StackedSketch(p), StackedSketch(p)
+    s.insert([(5, 7)])
+    for i, (t, alone) in enumerate(zip(s.tables, (e.copy() for e in empty.tables))):
         assert t.count.sum(axis=1).tolist() == [1] * t.rows
         for r in range(t.rows):
-            h = KWiseHash(4, s.params.k, t.cols, stream_id=bucket_stream_id(i, r))
+            h = KWiseHash(4, p.k, t.cols, stream_id=bucket_stream_id(i, r))
             assert t.count[r, h.eval(5)] == 1
-    assert s._cells.count.sum() == sum(t.rows for t in s.tables)
+        alone.insert([(5, 7)])
+        assert alone == t
+    assert empty.is_zero()
 
 
 def test_insert_delete_roundtrip_zero():
@@ -354,12 +359,12 @@ def test_contradicting_pure_cells_mark_inconsistent(mode):
     # a +1 cell and as a -1 cell. Only the first (5, 7) is admitted.
     extra = {"mode": "checksum", "p": 97, "q": 389} if mode == "checksum" else {}
     s = StackedSketch(Params(n=16, delta=0.25, **extra))
-    tab = s.tables[-1]
+    base, store = s.layout.spans[-1][1].start, s._cells
     cells = [(5, 7, 1), (5, 8, 1)] if mode == "plain" else [(5, 7, 1), (-5, -7, -1)]
-    for col, (k, v, c) in enumerate(cells):
-        tab.key_sum[0, col], tab.value_sum[0, col], tab.count[0, col] = k % 2**64, v % 2**64, c
+    for i, (k, v, c) in enumerate(cells, start=base):
+        store.key_sum[i], store.value_sum[i], store.count[i] = k % 2**64, v % 2**64, c
         if mode == "checksum":
-            tab._cells.hash_sum[:, col] = to_lanes([c * s.checksum.eval(5) % 389])[:, 0]
+            store.hash_sum[:, i] = to_lanes([c * s.checksum.eval(5) % 389])[:, 0]
     out = s.list_entries()
     assert out.inconsistent
     assert out.stage_recoveries[-1] == (((5, 7),), ())

@@ -76,3 +76,55 @@ def test_deserialized_tables_view_the_store(mode, load):
         assert (tab.count.sum(axis=1) - rows).tolist() == [1] * tab.rows
         assert all(np.shares_memory(g, f) for g, f in zip(
             (tab.key_sum, tab.value_sum, tab.count), t._cells.fields()))
+        assert not any(a.flags.writeable for a in tab._cells.fields())
+
+
+WRITES = {
+    "insert": lambda t: t.insert([(12345, 678)]),
+    "insert_arrays": lambda t: t.insert_arrays(np.array([12345], dtype=np.uint64),
+                                               np.array([678], dtype=np.uint64)),
+    "delete": lambda t: t.delete([(1, 12345, 678)]),
+    "delete_pairs": lambda t: t.delete_pairs([(12345, 678)]),
+    "grid": lambda t: t.count.__setitem__((0, 0), 1),
+}
+
+
+@pytest.mark.parametrize("write", sorted(WRITES))
+@pytest.mark.parametrize("mode,load", STATES)
+def test_table_views_refuse_every_write(mode, load, write):
+    # The sketch is the one write path into its cells: a table view refuses
+    # a mutation before any cell changes.
+    s = sketch(mode, load)
+    before = serialize(s)
+    for t in s.tables:
+        with pytest.raises(ValueError, match="read-only"):
+            WRITES[write](t)
+        assert serialize(s) == before
+    assert s.item_balance == (20 if load == "complete" else 32 * N)
+
+
+@pytest.mark.parametrize("mode", ["plain", "checksum"])
+def test_views_taken_before_an_insert_show_it(mode):
+    s = sketch(mode, "complete")
+    views = s.tables
+    before = [v.count.sum(axis=1) for v in views]
+    s.insert([(12345, 678)])
+    for v, rows, now in zip(views, before, s.tables):
+        assert (v.count.sum(axis=1) - rows).tolist() == [1] * v.rows
+        assert v == now
+
+
+@pytest.mark.parametrize("mode", ["plain", "checksum"])
+def test_table_copy_is_a_writable_standalone_table(mode):
+    s = sketch(mode, "complete")
+    before = serialize(s)
+    for t in s.tables:
+        c = t.copy()
+        assert c == t
+        assert not any(np.shares_memory(a, b) for a in c._cells.fields()
+                       for b in s._cells.fields())
+        c.insert([(12345, 678)])
+        assert (c.count.sum(axis=1) - t.count.sum(axis=1)).tolist() == [1] * t.rows
+        c.delete_pairs([(12345, 678)])
+        assert c == t
+    assert serialize(s) == before
