@@ -1,4 +1,4 @@
-"""The flat cell store: a sketch's tables are views of one store, and
+"""The flat cell store: a sketch's tables are read-only views of one store, and
 decode, copy, subtract and the envelope never alias where they must not."""
 
 import numpy as np
