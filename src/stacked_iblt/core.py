@@ -341,11 +341,9 @@ def scatter(cells: CellStore, checksum: PowerHash | None, flat, keys, values, we
         raise ValueError("read-only cells: a sketch's tables are views; update the sketch")
     rows = flat.shape[0]
     idx = flat.reshape(-1)
-    neg = weights < 0
-    kd = np.where(neg, np.uint64(0) - keys, keys)
-    vd = np.where(neg, np.uint64(0) - values, values)
-    np.add.at(cells.key_sum, idx, np.tile(kd, rows))
-    np.add.at(cells.value_sum, idx, np.tile(vd, rows))
+    sign = weights.view(np.uint64)      # 1 or 2^64-1: a wrapping product negates
+    np.add.at(cells.key_sum, idx, np.tile(keys * sign, rows))
+    np.add.at(cells.value_sum, idx, np.tile(values * sign, rows))
     np.add.at(cells.count, idx, np.tile(weights, rows))
     if checksum is None:
         return
@@ -376,10 +374,8 @@ def extract(cells: CellStore, checksum: PowerHash | None) -> tuple:
     cnt = cells.count
     idx = np.nonzero(cnt == 1 if checksum is None else np.abs(cnt) == 1)[0]
     signs = cnt[idx]
-    neg = signs < 0
-    ks, vs = cells.key_sum[idx], cells.value_sum[idx]
-    keys = np.where(neg, np.uint64(0) - ks, ks)
-    values = np.where(neg, np.uint64(0) - vs, vs)
+    sign = signs.view(np.uint64)        # 1 or 2^64-1: a wrapping product negates
+    keys, values = cells.key_sum[idx] * sign, cells.value_sum[idx] * sign
     ok = keys < np.uint64(key_bound(checksum))   # a multi-key residue can leave the domain
     idx, keys, values, signs = idx[ok], keys[ok], values[ok], signs[ok]
     if checksum is None:
@@ -497,10 +493,15 @@ def _pairs_to_arrays(pairs):
 
 
 def _int_column(xs: list) -> np.ndarray:
-    # Integers become exact uint64. Anything else (a float, a negative or an
-    # oversized int) leaves an object array for `_update` to reject, where a
-    # forced uint64 cast would truncate 1.7 to 1.
+    # Integers become exact uint64. Anything else (a float, a bool, a
+    # negative or an oversized int) leaves an object array for `_update` to
+    # reject, where a forced uint64 cast would truncate 1.7 to 1.
+    # operator.index refuses numpy's bool but takes True as 1, so a column
+    # holding a 0 or a 1 is searched for Python bools.
     try:
-        return np.array([operator.index(x) for x in xs], dtype=np.uint64)
+        col = np.array([operator.index(x) for x in xs], dtype=np.uint64)
     except (TypeError, OverflowError):
         return np.array(xs, dtype=object)
+    if (col > 1).all() or bool not in map(type, xs):
+        return col
+    return np.array(xs, dtype=object)

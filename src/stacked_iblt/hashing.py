@@ -385,12 +385,14 @@ class RowStack:
     constant term first; `gamma` the (R, 1) column of per-row bucket
     ranges, each in [1, 2^61-1); `offsets` the (R, 1) column of each row's
     first cell in a flat store of the rows back to back, `gamma` cells
-    each; `limbs` the matrix's `coeff_limbs` form, built once. The
-    constructor raises ValueError for anything else: `eval_poly_rows` is
-    exact only for field elements, and a zero range has no bucket.
+    each; `limbs` the matrix's `coeff_limbs` form and `runs` the
+    `_gamma_runs` of `gamma`, both built once per stack and shared, cut to
+    their rows, by its segments. The constructor raises ValueError for
+    anything else: `eval_poly_rows` is exact only for field elements, and
+    a zero range has no bucket.
     """
 
-    __slots__ = ("coefficients", "gamma", "offsets", "limbs")
+    __slots__ = ("coefficients", "gamma", "offsets", "limbs", "runs")
 
     def __init__(self, coefficients, gamma):
         cm = _field_array(coefficients, 0, "coefficients must lie in [0, 2^61-1)")
@@ -399,11 +401,15 @@ class RowStack:
             raise ValueError("need an (R, k) coefficient matrix, k >= 1, and R bucket ranges")
         self._init_fields(cm, g.reshape(-1, 1), coeff_limbs(cm))
 
-    def _init_fields(self, cm: np.ndarray, gamma: np.ndarray, limbs: tuple) -> None:
+    def _init_fields(self, cm: np.ndarray, gamma: np.ndarray, limbs: tuple,
+                     runs: tuple | None = None) -> None:
         offsets = np.cumsum(gamma, dtype=np.uint64).reshape(-1, 1) - gamma
         for a in (cm, gamma, offsets, *limbs):
             a.flags.writeable = False
+        if runs is None:
+            runs = _gamma_runs(gamma.reshape(-1), gamma.shape[0])
         self.coefficients, self.gamma, self.offsets, self.limbs = cm, gamma, offsets, limbs
+        self.runs = runs
 
     @classmethod
     def draw(cls, seed: int, k: int, dims) -> "RowStack":
@@ -425,15 +431,17 @@ class RowStack:
         return cls(_field_rows(seed, stream_ids, k), gamma)
 
     def segment(self, start: int, stop: int) -> "RowStack":
-        """Rows [start, stop), sharing this stack's arrays; offsets restart at 0."""
+        """Rows [start, stop), sharing this stack's arrays and runs; offsets restart at 0."""
         out = RowStack.__new__(RowStack)
+        runs = tuple((max(a, start) - start, min(b, stop) - start, g)
+                     for a, b, g in self.runs if a < stop and b > start)
         out._init_fields(self.coefficients[start:stop], self.gamma[start:stop],
-                         tuple(c[:, start:stop] for c in self.limbs))
+                         tuple(c[:, start:stop] for c in self.limbs), runs)
         return out
 
     def flat_cells(self, keys: np.ndarray) -> np.ndarray:
         """(R, n) store indices of a uint64 key batch: row r's bucket + offsets[r]."""
-        flat = eval_poly_rows(self.limbs, keys, self.gamma)
+        flat = eval_poly_rows(self.limbs, keys, self.gamma, self.runs)
         flat += self.offsets
         return flat
 
@@ -468,16 +476,17 @@ def coeff_limbs(coeff_matrix: np.ndarray) -> tuple:
         for a in range(0, cm.shape[1], CHUNK_POWERS))
 
 
-def eval_poly_rows(limbs: tuple, keys: np.ndarray, gamma) -> np.ndarray:
+def eval_poly_rows(limbs: tuple, keys: np.ndarray, gamma, runs: tuple | None = None) -> np.ndarray:
     """Evaluate a stack of polynomials over one key batch.
 
     limbs is the `coeff_limbs` form of a (rows, k) uint64 matrix with
     entries below 2^61-1, constant term first; keys is (n,) uint64 below
     2^61-1; gamma is one bucket range for every row or a (rows, 1) column
-    of per-row ranges, each in [1, 2^61-1). Returns (rows, n) bucket
-    indices, row r reduced mod its gamma. This is the one polynomial
-    kernel: a RowStack sweeps all its rows in one call, and
-    KWiseHash.eval_batch one row.
+    of per-row ranges, each in [1, 2^61-1), and runs its `_gamma_runs`,
+    computed here when None (a RowStack passes the ones it keeps).
+    Returns (rows, n) bucket indices, row r reduced mod its gamma. This is
+    the one polynomial kernel: a RowStack sweeps all its rows in one call,
+    and KWiseHash.eval_batch one row.
 
     Keys go in blocks of BLOCK_KEYS, so temporaries are bounded by
     (3*rows or 3*k) x BLOCK_KEYS whatever the batch size; the blocks'
@@ -510,7 +519,8 @@ def eval_poly_rows(limbs: tuple, keys: np.ndarray, gamma) -> np.ndarray:
     k = sum(c.shape[2] for c in limbs) // 3
     out = np.empty((rows, keys.size), dtype=np.uint64)
     gamma = np.asarray(gamma, dtype=np.uint64)
-    runs = _gamma_runs(gamma.reshape(-1), rows)
+    if runs is None:
+        runs = _gamma_runs(gamma.reshape(-1), rows)
     bufs = None
     for start in range(0, keys.size, BLOCK_KEYS):
         x = keys[start : start + BLOCK_KEYS]
@@ -561,13 +571,13 @@ def _block_buffers(rows: int, k: int, kc: int, n: int) -> tuple:
     return buf[:a].reshape(k, n), buf[a:b], buf[b:]
 
 
-def _gamma_runs(gamma: np.ndarray, rows: int) -> list:
-    """[(a, b, g)]: the maximal runs of rows a..b-1 whose bucket range is g.
+def _gamma_runs(gamma: np.ndarray, rows: int) -> tuple:
+    """((a, b, g), ...): the maximal runs of rows a..b-1 whose bucket range is g.
 
     gamma is flat: one entry per row, or one for every row.
     """
     cuts = (np.flatnonzero(gamma[1:] != gamma[:-1]) + 1).tolist()
-    return [(a, b, gamma[a : a + 1].reshape(())) for a, b in zip([0, *cuts], [*cuts, rows])]
+    return tuple((a, b, gamma[a : a + 1].reshape(())) for a, b in zip([0, *cuts], [*cuts, rows]))
 
 
 def _fold(v: np.ndarray, scratch: np.ndarray) -> np.ndarray:

@@ -342,7 +342,7 @@ class StackedSketch(Mutations):
             take, added, clash = _admit(keys, values, signs, plus, minus)
             inconsistent |= clash
             stage_new.append(added)
-            if take:
+            if take.size:
                 # Extraction keeps keys in the domain, so the scatter is trusted.
                 keys = keys[take]
                 if glanes is not None:
@@ -391,26 +391,45 @@ class StackedSketch(Mutations):
                 f"mode={self.params.mode}, tables={len(self.layout.tables)})")
 
 
-def _admit(keys, values, signs, plus: dict, minus: dict) -> tuple[list, tuple, bool]:
+def _admit(keys, values, signs, plus: dict, minus: dict) -> tuple[np.ndarray, tuple, bool]:
     """Admit a stage's pairs to `plus` / `minus`; returns (taken, stage, clash).
 
     Plus side first, each side in (key, value) order. A key on its side with
     another value, or the pair on the other side, contradicts and is not
-    admitted. taken indexes the admitted entries, stage holds them as the
-    (plus, minus) tuples of `stage_recoveries`.
+    admitted. taken is an index array of the admitted entries, stage holds
+    them as the (plus, minus) tuples of `stage_recoveries`.
     """
     neg = signs < 0
-    ks, vs, ns = keys.tolist(), values.tolist(), neg.tolist()
-    take, added, clash = [], ([], []), False
-    for i in np.lexsort((values, keys, neg)).tolist():
-        k, v, n = ks[i], vs[i], ns[i]
-        side, other = (minus, plus) if n else (plus, minus)
+    order = np.lexsort((values, keys, neg))
+    cut = neg.size - int(np.count_nonzero(neg))
+    ks, vs = keys[order], values[order]
+    take_p, new_p, clash_p = _admit_side(ks[:cut], vs[:cut], order[:cut], plus, minus)
+    take_m, new_m, clash_m = _admit_side(ks[cut:], vs[cut:], order[cut:], minus, plus)
+    return np.concatenate((take_p, take_m)), (new_p, new_m), clash_p or clash_m
+
+
+def _admit_side(ks, vs, idx, side: dict, other: dict) -> tuple[np.ndarray, tuple, bool]:
+    """`_admit` for one side's pairs (ks, vs), sorted, at entries idx.
+
+    The per-pair loop is the definition. When the keys are distinct and
+    neither dict holds one, every pair is admitted, so one `update` does it.
+    """
+    if not idx.size:
+        return idx, (), False
+    kl, vl = ks.tolist(), vs.tolist()
+    if (not np.count_nonzero(ks[1:] == ks[:-1])
+            and side.keys().isdisjoint(kl) and other.keys().isdisjoint(kl)):
+        new = tuple(zip(kl, vl))
+        side.update(new)
+        return idx, new, False
+    keep, new, clash = [], [], False
+    for j, (k, v) in enumerate(zip(kl, vl)):
         if k in side:
             clash |= side[k] != v
         elif other.get(k) == v:
             clash = True
         else:
             side[k] = v
-            take.append(i)
-            added[n].append((k, v))
-    return take, (tuple(added[0]), tuple(added[1])), clash
+            keep.append(j)
+            new.append((k, v))
+    return idx[keep], tuple(new), clash

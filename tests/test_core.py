@@ -149,6 +149,20 @@ def test_malformed_batch_rejected(make):
         t.delete_pairs([(3, 4), (5, 6.5)])
     with pytest.raises(ValueError, match="signs"):
         t.delete([(1.5, 3, 4)])
+    # A bool is not an integer key or value on any path, as in insert_arrays.
+    for flag in (True, False, np.True_):
+        with pytest.raises(ValueError, match="integer"):
+            t.insert([(flag, 1)])
+        with pytest.raises(ValueError, match="integer"):
+            t.insert([(2, 3), (4, flag)])
+        with pytest.raises(ValueError, match="integer"):
+            t.delete([(1, flag, 1)])
+        with pytest.raises(ValueError, match="integer"):
+            t.delete([(1, 2, flag)])
+        with pytest.raises(ValueError, match="integer"):
+            t.delete_pairs([(flag, 1)])
+    with pytest.raises(ValueError, match="integer"):
+        t.insert_arrays(np.array([True]), np.array([1]))
     # Signed arrays must not wrap: a negative value or key is refused.
     with pytest.raises(ValueError, match="non-negative"):
         t.insert_arrays(np.array([3]), np.array([-1]))

@@ -295,6 +295,45 @@ def test_eval_poly_rows_batch_is_concatenation_of_pieces(k):
         assert np.array_equal(np.concatenate(parts, axis=1), whole)
 
 
+def test_gamma_runs_are_maximal_adjacent_runs(monkeypatch):
+    # A stack keeps its runs: maximal runs of adjacent rows sharing a bucket
+    # range, so the trailing 5 is a run of its own. Its flat_cells must match
+    # the kernel with the runs recomputed, and so must every segment's.
+    rng = np.random.default_rng(17)
+    keys = rng.integers(0, MERSENNE61, size=300, dtype=np.uint64)
+    stack = RowStack(rng.integers(0, MERSENNE61, size=(4, 6), dtype=np.uint64), [5, 5, 7, 5])
+    one = KWiseHash(3, 6, 11)._row
+    assert [(a, b, int(g)) for a, b, g in stack.runs] == [(0, 2, 5), (2, 3, 7), (3, 4, 5)]
+    assert [(a, b, int(g)) for a, b, g in one.runs] == [(0, 1, 11)]
+    cut = {(0, 4): stack.runs, (1, 4): [(0, 1, 5), (1, 2, 7), (2, 3, 5)],
+           (2, 3): [(0, 1, 7)], (1, 2): [(0, 1, 5)]}
+
+    def recomputed(s):
+        return eval_poly_rows(s.limbs, keys, s.gamma) + s.offsets
+
+    views = {span: stack.segment(*span) for span in cut}
+    for s in (stack, one, *views.values()):
+        assert np.array_equal(s.flat_cells(keys), recomputed(s))
+    for span, s in views.items():
+        assert [(a, b, int(g)) for a, b, g in s.runs] == [(a, b, int(g)) for a, b, g in cut[span]]
+
+    # Views reuse the stack's runs: neither a sketch's tables nor a segment
+    # recomputes them.
+    sketch = StackedSketch(Params(n=64, delta=2.0**-6, master_seed=4))
+
+    def refuse(*args):
+        raise AssertionError("gamma runs recomputed")
+
+    monkeypatch.setattr(hashing, "_gamma_runs", refuse)
+    tables = sketch.tables
+    stack.segment(1, 3).flat_cells(keys)
+    for t in tables:
+        t._stack.flat_cells(keys)
+    sketch.insert_arrays(keys[:40], keys[40:80])
+    assert sketch.list_entries().recovered_plus == set(zip(keys[:40].tolist(),
+                                                           keys[40:80].tolist()))
+
+
 def test_row_stack_rejects_out_of_field_rows():
     # At k=500 all-ones-word coefficients would push the GEMM's class sums
     # past 2^53; a zero range has no bucket.

@@ -371,6 +371,116 @@ def test_contradicting_pure_cells_mark_inconsistent(mode):
     assert all(stage == ((), ()) for stage in out.stage_recoveries[:-1])
 
 
+def admit_model(keys, values, signs, plus, minus):
+    """The per-pair admission that `stacked._admit` must equal: plus side
+    first, each side in (key, value) order; a key on its side with another
+    value, or the pair on the other side, clashes and is not admitted."""
+    neg = signs < 0
+    ks, vs, ns = keys.tolist(), values.tolist(), neg.tolist()
+    take, added, clash = [], ([], []), False
+    for i in np.lexsort((values, keys, neg)).tolist():
+        k, v, n = ks[i], vs[i], ns[i]
+        side, other = (minus, plus) if n else (plus, minus)
+        if k in side:
+            clash |= side[k] != v
+        elif other.get(k) == v:
+            clash = True
+        else:
+            side[k] = v
+            take.append(i)
+            added[n].append((k, v))
+    return take, (tuple(added[0]), tuple(added[1])), clash
+
+
+def test_admission_matches_the_per_pair_model():
+    # Random multi-stage decodes over tiny key and value ranges: duplicates
+    # within a stage, keys seen in earlier stages, both signs in a stage,
+    # one pair on both sides and one key with two values all occur. The
+    # wide key range makes sides of distinct new keys, which take the
+    # one-step path.
+    rng = np.random.default_rng(2023)
+    cases = 20_000
+    stages = rng.integers(1, 5, size=cases)
+    total = int(stages.sum())
+    sizes = rng.integers(0, 9, size=total)
+    key_mod = rng.choice(np.array([2, 3, 5, 8, 1 << 40], dtype=np.uint64), size=total)
+    val_mod = rng.choice(np.array([1, 2, 3, 0], dtype=np.uint64), size=total)   # 0: any
+    sign_kind = rng.integers(0, 3, size=total)          # all +1, all -1, mixed
+    ends = np.cumsum(sizes).tolist()
+    raw_k = rng.integers(0, 1 << 61, size=ends[-1], dtype=np.uint64)
+    raw_v = rng.integers(0, 2**64, size=ends[-1], dtype=np.uint64)
+    raw_s = rng.choice(np.array([1, -1]), size=ends[-1])
+    seen = collections.Counter()
+    stage = 0
+    for count in stages.tolist():
+        plus, minus, model_plus, model_minus = {}, {}, {}, {}
+        for _ in range(count):
+            a, b = ends[stage] - sizes[stage], ends[stage]
+            keys = raw_k[a:b] % key_mod[stage]
+            values = raw_v[a:b] % val_mod[stage] if val_mod[stage] else raw_v[a:b]
+            signs = raw_s[a:b] if sign_kind[stage] == 2 else np.full(b - a, 1 - 2 * sign_kind[stage])
+            for side in (signs > 0, signs < 0):
+                ks = keys[side].tolist()
+                known = model_plus.keys() | model_minus.keys()
+                if len(set(ks)) == len(ks) > 1 and known.isdisjoint(ks):
+                    seen["one step"] += 1
+                seen["duplicate key"] += len(set(ks)) < len(ks)
+                seen["known key"] += not known.isdisjoint(ks)
+            seen["both signs"] += bool((signs > 0).any() and (signs < 0).any())
+            pos, neg = (set(zip(keys[side].tolist(), values[side].tolist()))
+                        for side in (signs > 0, signs < 0))
+            seen["pair on both sides"] += bool(pos & neg or model_minus.items() & pos
+                                               or model_plus.items() & neg)
+            seen["key with two values"] += any(
+                len({k for k, _ in side}) < len(side) or any(d.get(k, v) != v for k, v in side)
+                for side, d in ((pos, model_plus), (neg, model_minus)))
+            want = admit_model(keys, values, signs, model_plus, model_minus)
+            take, added, clash = stacked._admit(keys, values, signs, plus, minus)
+            assert (take.tolist(), added, clash) == want
+            seen["clash"] += clash
+            stage += 1
+        assert list(plus.items()) == list(model_plus.items())
+        assert list(minus.items()) == list(model_minus.items())
+    assert len(seen) == 7 and min(seen.values()) > 1000, seen
+
+
+def test_decode_with_one_step_and_per_pair_stages(monkeypatch):
+    # Overloaded checksum sketch (C = 2) with false deletions: table 0, one
+    # row, takes each side in one step; table 3, two rows, meets a key in
+    # both rows' pure cells and admits per pair. The outcome equals a decode
+    # that admits with the per-pair model.
+    params = Params(n=64, delta=2.0**-4, big_c=2.0, mode="checksum", master_seed=2)
+    rng = np.random.default_rng(2)
+    keys = rng.choice(1 << 40, size=64, replace=False).astype(np.uint64)
+    vals = rng.integers(0, 1 << 63, size=64).astype(np.uint64)
+    s = StackedSketch(params)
+    s.insert_arrays(keys[:60], vals[:60])
+    s.delete_pairs(list(zip(keys[60:].tolist(), vals[60:].tolist())))
+    seen, admit = [], stacked._admit
+
+    def recorded(keys, values, signs, plus, minus):
+        sides = [keys[signs > 0].tolist(), keys[signs < 0].tolist()]
+        seen.append([len(set(k)) == len(k) and (plus.keys() | minus.keys()).isdisjoint(k)
+                     for k in sides])
+        return admit(keys, values, signs, plus, minus)
+
+    def modelled(*args):
+        take, added, clash = admit_model(*args)
+        return np.array(take, dtype=np.intp), added, clash
+
+    monkeypatch.setattr(stacked, "_admit", recorded)
+    got = s.list_entries()
+    assert [r for r, _ in s.layout.tables][:4] == [1, 1, 1, 2]
+    assert seen[0] == [True, True] and seen[3] == [False, False]
+    assert got.stage_recoveries[0][0] and got.stage_recoveries[3][0]
+    monkeypatch.setattr(stacked, "_admit", modelled)
+    want = s.list_entries()
+    assert got.complete and not got.inconsistent
+    assert got.recovered_plus == set(zip(keys[:60].tolist(), vals[:60].tolist()))
+    assert got.recovered_minus == set(zip(keys[60:].tolist(), vals[60:].tolist()))
+    assert got == want
+
+
 @pytest.mark.parametrize("mode, calls", [("checksum", 2), ("plain", 8)])
 def test_stage_loop_stops_once_the_remaining_counts_are_zero(monkeypatch, mode, calls):
     # At the C1 shape with 16 false deletions: in checksum mode stages 0
