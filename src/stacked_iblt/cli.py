@@ -32,7 +32,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from .core import CHECKSUM_CELL_BYTES, PLAIN_CELL_BYTES, key_bound
-from .hashing import MERSENNE61, RowStack, _stream_heads, check_power_params
+from .hashing import MERSENNE61, RowStack, _stream_heads, check_int, check_power_params
 from .reconcile import reconcile_local, serialize, sketch_of
 from .stacked import DEFAULT_BIG_C, DEFAULT_C0, Params, StackedSketch, plan_layout
 
@@ -280,16 +280,14 @@ def bad_base_count(p: int, q: int, keys, signs) -> int:
     the l*p shift keeps the exponent non-negative. Exhaustive over a, so
     guarded to desk-scale inputs (l * p <= 10^4).
     """
-    keys = [int(k) for k in keys]
-    signs = [int(s) for s in signs]
+    check_power_params(p, q)
+    keys = [check_int(k, "keys", 0, p) for k in keys]
+    signs = [check_int(s, "signs", -1, 2) for s in signs]
     ell = len(keys)
     if ell < 1 or len(signs) != ell:
         raise ValueError("need matching non-empty key and sign lists")
-    if any(s not in (1, -1) for s in signs):
+    if 0 in signs:
         raise ValueError("signs must be +1 or -1")
-    check_power_params(p, q)
-    if any(not 0 <= k < p for k in keys):
-        raise ValueError("keys must lie in [0, p)")
     if ell * p > 10_000:
         raise ValueError("exhaustive sweep guard: need l * p <= 10^4")
     shift = ell * p

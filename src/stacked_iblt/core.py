@@ -15,9 +15,11 @@ keeps one store for all its tables, and its tables are read-only views.
 
 Mutation has one path, shared with StackedSketch: the `Mutations`
 adapters (insert, insert_arrays, delete, delete_pairs) validate each
-batch once in `_update`, hash it once with the class's row stack
-`_stack` (indices into its store), and hand the indices with the (keys,
-values, weights) arrays to its trusted `_apply`. Both classes' `_apply`,
+batch once in `_update` with `hashing.check_uint64`, the one batch integer
+check (`BasicTable`'s sizes take `hashing.check_int`, the scalar one),
+hash it once with the class's row stack `_stack` (indices into its
+store), and hand the indices with the (keys, values, weights) arrays to
+its trusted `_apply`. Both classes' `_apply`,
 and the stacked decoder, call the one `scatter`: it refuses a read-only
 store, ravels the (rows, n) indices and tiles the signed keys, values and
 weights to match, so each field (each hash lane) takes one 1-D
@@ -40,12 +42,12 @@ ints become lanes in `to_lanes`.
 from __future__ import annotations
 
 import functools
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .hashing import MERSENNE61, KWiseHash, PowerHash, RowStack, thread_scratch
+from .hashing import (MERSENNE61, KWiseHash, PowerHash, RowStack, check_int, check_uint64,
+                      thread_scratch)
 
 PLAIN_CELL_BYTES = 24       # key_sum + value_sum + count
 # + a 128-bit hash_sum: the envelope's and the paper's width, which
@@ -168,7 +170,7 @@ class Mutations:
     __slots__ = ()
 
     def insert(self, pairs) -> None:
-        self._update(*_pairs_to_arrays(pairs), 1)
+        self._update(*_pair_columns(pairs), 1)
 
     def insert_arrays(self, keys, values) -> None:
         self._update(keys, values, 1)
@@ -176,43 +178,33 @@ class Mutations:
     def delete(self, signed_pairs) -> None:
         """Remove sign-weighted contributions; pairs are (sign, key, value)."""
         items = list(signed_pairs)
-        keys, values = _pairs_to_arrays((k, v) for _, k, v in items)
-        signs = np.array([s for s, _, _ in items])
-        if signs.size and signs.dtype.kind not in "iu":   # before numpy negates a bool
+        # Checked as given, then negated: -1 is taken as 2^64-1, which the
+        # int64 view reads back as -1.
+        signs = check_uint64([s for s, _, _ in items], "signs", -1, 2)
+        if not signs.all():
             raise ValueError("signs must be +1 or -1")
-        self._update(keys, values, -signs)
+        self._update([k for _, k, _ in items], [v for _, _, v in items], -signs.view(np.int64))
 
     def delete_pairs(self, pairs) -> None:
         """Unsigned delete: every pair removed with sign +1."""
-        self._update(*_pairs_to_arrays(pairs), -1)
+        self._update(*_pair_columns(pairs), -1)
 
     def _update(self, keys, values, weights) -> None:
         """The one check of every public mutation, then `_apply`.
 
-        keys and values must be 1-D non-negative integer arrays of one
-        length, every key below `key_bound`; weights (one per key, or a
-        scalar) must be integer +-1. Raises ValueError otherwise.
+        keys and values pass `hashing.check_uint64`, the package's integer
+        check, with keys in [0, `key_bound`) and values in [0, 2^64), and
+        must be 1-D of one length; ValueError otherwise. weights, int64 +-1
+        per key or one for all, come from the adapters (`delete` checks its
+        signs there too, before it negates them) and are trusted.
         """
-        keys, values = np.asarray(keys), np.asarray(values)
+        keys = check_uint64(keys, "keys", 0, key_bound(self.checksum))
+        values = check_uint64(values, "values")
         if keys.ndim != 1 or values.shape != keys.shape:
             raise ValueError("keys and values must be 1-D arrays of equal length")
-        if keys.size == 0:
-            return
-        if not (keys.dtype.kind in "iu" and values.dtype.kind in "iu"):
-            raise ValueError("keys and values must be integer arrays")
-        # A signed array would wrap a negative entry to a large uint64.
-        if any(a.dtype.kind == "i" and a.min() < 0 for a in (keys, values)):
-            raise ValueError("keys and values must be non-negative")
-        weights = np.asarray(weights)
-        if weights.dtype.kind not in "iu" or not (np.abs(weights) == 1).all():
-            raise ValueError("signs must be +1 or -1")
-        weights = np.broadcast_to(weights.astype(np.int64), keys.shape)
-        keys = np.ascontiguousarray(keys, dtype=np.uint64)
-        bound = key_bound(self.checksum)
-        if int(keys.max()) >= bound:
-            raise ValueError(f"key out of domain [0, {bound})")
-        self._apply(self._stack.flat_cells(keys), keys,
-                    np.ascontiguousarray(values, dtype=np.uint64), weights)
+        if keys.size:
+            weights = np.broadcast_to(np.asarray(weights, dtype=np.int64), keys.shape)
+            self._apply(self._stack.flat_cells(keys), keys, values, weights)
 
 
 @dataclass(eq=False, slots=True)
@@ -392,8 +384,7 @@ class BasicTable(Mutations):
     __slots__ = ("rows", "cols", "checksum", "_stack", "_cells")
 
     def __init__(self, rows: int, cols: int, hashes, checksum: PowerHash | None = None):
-        if rows < 1 or cols < 1:
-            raise ValueError("need rows >= 1 and cols >= 1")
+        rows, cols = check_int(rows, "rows", 1), check_int(cols, "cols", 1)
         hashes = tuple(hashes)
         if len(hashes) != rows:
             raise ValueError(f"hash vector has {len(hashes)} entries for {rows} rows")
@@ -487,21 +478,6 @@ class BasicTable(Mutations):
         return f"BasicTable({self.rows}x{self.cols}, mode={self.mode})"
 
 
-def _pairs_to_arrays(pairs):
+def _pair_columns(pairs) -> tuple[list, list]:
     items = list(pairs)
-    return _int_column([k for k, _ in items]), _int_column([v for _, v in items])
-
-
-def _int_column(xs: list) -> np.ndarray:
-    # Integers become exact uint64. Anything else (a float, a bool, a
-    # negative or an oversized int) leaves an object array for `_update` to
-    # reject, where a forced uint64 cast would truncate 1.7 to 1.
-    # operator.index refuses numpy's bool but takes True as 1, so a column
-    # holding a 0 or a 1 is searched for Python bools.
-    try:
-        col = np.array([operator.index(x) for x in xs], dtype=np.uint64)
-    except (TypeError, OverflowError):
-        return np.array(xs, dtype=object)
-    if (col > 1).all() or bool not in map(type, xs):
-        return col
-    return np.array(xs, dtype=object)
+    return [k for k, _ in items], [v for _, v in items]

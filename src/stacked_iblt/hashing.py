@@ -49,15 +49,21 @@ Random Numbers: As Easy as 1, 2, 3", SC '11) in counter mode with
 counters from 1, which is numpy's `Philox(key=[seed, stream id])` word
 for word. `_philox_blocks` runs the ten rounds for the counter blocks of
 every stream of a draw at once, on 32-bit halves; numpy's Philox is not
-called, and stays in the tests as the oracle. Where a draw reads on
-after k words, it continues mid-block, as numpy's 4-word buffer does
-after `random_raw(k)`.
+called, and stays in the tests as the oracle.
+
+What counts as an integer is decided here, once: `check_int` for a
+scalar, `check_uint64` for a batch. A Python or numpy integer or an
+integer-dtype array is one; a bool, float, str, object or None never is.
+Every public entry point passes its integers through them, each with its
+own range; the trusted paths behind them (`RowStack.draw`, the decoder,
+`scatter`, `extract`) do not check again.
 """
 
 from __future__ import annotations
 
 import functools
 import mmap
+import operator
 import threading
 
 import numpy as np
@@ -151,9 +157,68 @@ def thread_scratch(words: int) -> np.ndarray:
     return area[:words]
 
 
+def _range_error(name: str, low: int, high: int | None) -> ValueError:
+    if high is None:
+        return ValueError(f"{name} must be >= {low}")
+    if low == 0:
+        return ValueError(f"{name} must be non-negative and below {high}")
+    return ValueError(f"{name} must lie in [{low}, {high})")
+
+
+def check_int(x, name: str, low: int | None = None, high: int | None = None) -> int:
+    """x as a Python int; ValueError unless x is an integer in [low, high).
+
+    An integer is what `operator.index` takes (a Python or numpy integer),
+    except a bool. A bound of None is open.
+    """
+    if type(x) is not int:
+        try:
+            if isinstance(x, bool):
+                raise TypeError
+            x = operator.index(x)
+        except TypeError:
+            raise ValueError(f"{name} must be an integer (Python or numpy integers, "
+                             "not bools)") from None
+    if (low is not None and x < low) or (high is not None and x >= high):
+        raise _range_error(name, low, high)
+    return x
+
+
+def check_uint64(values, name: str, low: int = 0, high: int = 1 << 64) -> np.ndarray:
+    """values as a C-ordered uint64 array, not copied if it is one; ValueError
+    unless every entry is an integer in [low, high), -1 <= low, high <= 2^64.
+
+    An ndarray needs an integer dtype (or no entries). Any other iterable
+    must hold integers by `check_int`'s rule, converted exactly, where
+    numpy would make [True, 2] int64 and [2^63, 2] float64, or wrap
+    np.int64(-1). Negative entries, where low allows them, wrap mod 2^64.
+    """
+    if isinstance(values, np.ndarray):
+        a = values
+        if a.size and a.dtype.kind not in "iu":
+            raise ValueError(f"{name} must be integers")
+    else:
+        try:
+            if not isinstance(values, (list, tuple)):
+                values = list(values)       # read twice below
+            a = np.array(list(map(operator.index, values)),
+                         dtype=np.int64 if low < 0 else np.uint64)
+        except TypeError:
+            raise ValueError(f"{name} must be integers") from None
+        except OverflowError:
+            raise _range_error(name, low, high) from None
+        # operator.index takes a bool as 0 or 1, so only then are bools sought.
+        if a.size and a.min() <= 1 and bool in map(type, values):
+            raise ValueError(f"{name} must be integers")
+    if a.size and (((low > 0 or a.dtype.kind == "i") and a.min() < low)
+                   or (high <= _U64 and a.max() >= high)):
+        raise _range_error(name, low, high)
+    return a.astype(np.uint64, order="C", copy=False)
+
+
 def _stream_ids(stream_ids) -> np.ndarray:
-    """Stream ids as a uint64 array, each masked to 64 bits."""
-    return np.array([int(s) & _U64 for s in stream_ids], dtype=np.uint64)
+    """Stream ids as a uint64 array, each taken mod 2^64."""
+    return np.array([check_int(s, "stream id") & _U64 for s in stream_ids], dtype=np.uint64)
 
 
 def _philox_blocks(seed: int, stream_ids: np.ndarray, start: int, count: int) -> np.ndarray:
@@ -235,23 +300,6 @@ def _stream_heads(seed: int, stream_ids: np.ndarray) -> np.ndarray:
     return out
 
 
-def _key_array(keys) -> np.ndarray:
-    """keys as uint64; ValueError unless every key is a non-negative integer.
-
-    A forced uint64 cast would hash 1.7 as key 1 and fail on -1 with
-    OverflowError, so the dtype kind, and the sign of signed input, are
-    checked first. A uint64 array passes with one dtype test.
-    """
-    keys = np.asarray(keys)
-    kind = keys.dtype.kind
-    if kind != "u" and keys.size:
-        if kind != "i":
-            raise ValueError("keys must be integers")
-        if keys.min() < 0:
-            raise ValueError("keys must be non-negative")
-    return keys.astype(np.uint64, copy=False)
-
-
 class SeededStream:
     """Word stream keyed by (seed, stream id), drawn a few blocks at a time.
 
@@ -263,7 +311,7 @@ class SeededStream:
     """
 
     def __init__(self, seed: int, stream_id: int):
-        self._seed, self._id = seed, _stream_ids([stream_id])
+        self._seed, self._id = check_int(seed, "seed"), _stream_ids([stream_id])
         self._block = 0
         self._words: list[int] = []
 
@@ -299,24 +347,15 @@ def _field_rows(seed: int, stream_ids, k: int) -> np.ndarray:
     give: each word masked to 61 bits, kept when below 2^61-1. The first k
     words of every stream come from one `_philox_blocks` pass, masked in
     place. A word is rejected with probability 2^-61; a row that holds one
-    continues its stream at word k, mid-block where k is not a multiple of
-    4, as numpy's Philox continues from its 4-word buffer after
-    `random_raw(k)`.
+    is drawn again by that definition.
     """
-    ids = _stream_ids(stream_ids)
+    seed, ids = check_int(seed, "seed"), _stream_ids(stream_ids)
     words = _philox_blocks(seed, ids, 0, -(-k // 4))
     words &= _M61
     rows = words[:, :k]
     for i in np.flatnonzero((rows == _M61).any(axis=1)).tolist():
-        row, word = rows[i][rows[i] != _M61], k
-        while row.size < k:
-            need = k - row.size
-            block, skip = divmod(word, 4)
-            more = _philox_blocks(seed, ids[i : i + 1], block, -(-(skip + need) // 4))
-            more = more[0, skip : skip + need] & _M61
-            row = np.concatenate([row, more[more != _M61]])
-            word += need
-        rows[i] = row
+        stream = SeededStream(seed, ids[i])
+        rows[i] = [stream.below(MERSENNE61) for _ in range(k)]
     return rows
 
 
@@ -337,31 +376,30 @@ class KWiseHash:
     __slots__ = ("independence", "gamma", "coefficients", "_row")
 
     def __init__(self, seed: int, k: int, gamma: int, stream_id: int = 0):
-        if k < 1:
-            raise ValueError("independence k must be >= 1")
-        self._init_fields(_field_rows(seed, [stream_id], k)[0], gamma)
+        k = check_int(k, "independence k", 1)
+        self._init_fields(_field_rows(seed, [stream_id], k), [gamma])
 
-    def _init_fields(self, coeffs, gamma: int) -> None:
-        self._row = RowStack([coeffs], [gamma])     # validates both
-        self.independence, self.gamma = self._row.coefficients.shape[1], gamma
+    def _init_fields(self, coeffs, gamma) -> None:
+        self._row = RowStack(coeffs, gamma)     # validates both
+        self.independence = self._row.coefficients.shape[1]
+        self.gamma = int(self._row.gamma[0, 0])
         self.coefficients = tuple(self._row.coefficients[0].tolist())
 
     @classmethod
     def from_coefficients(cls, coeffs, gamma: int) -> "KWiseHash":
         """Build directly from field elements c_0..c_(k-1) (constant first)."""
         obj = cls.__new__(cls)
-        obj._init_fields([int(c) for c in coeffs], gamma)
+        obj._init_fields([coeffs], [gamma])
         return obj
 
     def eval(self, key: int) -> int:
         """Bucket index in [0, gamma) for a single key."""
-        return int(self.eval_batch(np.array([key]))[0])
+        key = check_int(key, "key", 0, MERSENNE61)
+        return int(self._row.flat_cells(np.array([key], dtype=np.uint64))[0, 0])
 
     def eval_batch(self, keys: np.ndarray) -> np.ndarray:
         """Bucket indices for an integer key array; every key must be in [0, 2^61-1)."""
-        keys = _key_array(keys)
-        if keys.size and int(keys.max()) >= MERSENNE61:
-            raise ValueError("key out of hash domain [0, 2^61-1)")
+        keys = check_uint64(keys, "keys", 0, MERSENNE61)
         return self._row.flat_cells(keys.reshape(-1)).reshape(keys.shape)
 
     def __eq__(self, other) -> bool:
@@ -395,19 +433,22 @@ class RowStack:
     __slots__ = ("coefficients", "gamma", "offsets", "limbs", "runs")
 
     def __init__(self, coefficients, gamma):
-        cm = _field_array(coefficients, 0, "coefficients must lie in [0, 2^61-1)")
-        g = _field_array(gamma, 1, "bucket range must satisfy 1 <= gamma < 2^61-1")
+        cm = np.array([check_uint64(row, "coefficients", 0, MERSENNE61) for row in coefficients])
+        g = check_uint64(gamma, "bucket range", 1, MERSENNE61).copy()
         if cm.ndim != 2 or cm.shape[1] < 1 or g.shape != cm.shape[:1]:
             raise ValueError("need an (R, k) coefficient matrix, k >= 1, and R bucket ranges")
-        self._init_fields(cm, g.reshape(-1, 1), coeff_limbs(cm))
+        self._init_fields(cm, g.reshape(-1, 1))
 
-    def _init_fields(self, cm: np.ndarray, gamma: np.ndarray, limbs: tuple,
+    def _init_fields(self, cm: np.ndarray, gamma: np.ndarray, limbs: tuple | None = None,
                      runs: tuple | None = None) -> None:
+        # Trusted: field elements, and an (R, 1) uint64 column in [1, 2^61-1).
+        if limbs is None:
+            limbs = coeff_limbs(cm)
         offsets = np.cumsum(gamma, dtype=np.uint64).reshape(-1, 1) - gamma
         for a in (cm, gamma, offsets, *limbs):
             a.flags.writeable = False
         if runs is None:
-            runs = _gamma_runs(gamma.reshape(-1), gamma.shape[0])
+            runs = _gamma_runs(gamma.reshape(-1))
         self.coefficients, self.gamma, self.offsets, self.limbs = cm, gamma, offsets, limbs
         self.runs = runs
 
@@ -427,8 +468,16 @@ class RowStack:
 
     @classmethod
     def from_streams(cls, seed: int, k: int, stream_ids, gamma) -> "RowStack":
-        """Row i is what KWiseHash(seed, k, gamma[i], stream_id=stream_ids[i]) draws."""
-        return cls(_field_rows(seed, stream_ids, k), gamma)
+        """Row i is what KWiseHash(seed, k, gamma[i], stream_id=stream_ids[i]) draws.
+
+        Trusted: drawn rows are field elements, and every gamma must lie in
+        [1, 2^61-1), as a layout's column counts do wherever its store fits
+        in memory (a sketch allocates its store first).
+        """
+        out = cls.__new__(cls)
+        out._init_fields(_field_rows(seed, stream_ids, k),
+                         np.asarray(gamma, dtype=np.uint64).reshape(-1, 1))
+        return out
 
     def segment(self, start: int, stop: int) -> "RowStack":
         """Rows [start, stop), sharing this stack's arrays and runs; offsets restart at 0."""
@@ -451,14 +500,6 @@ class RowStack:
                 and np.array_equal(self.coefficients, other.coefficients))
 
 
-def _field_array(values, low: int, message: str) -> np.ndarray:
-    """values as a uint64 copy; ValueError(message) unless all are integers in [low, 2^61-1)."""
-    a = np.asarray(values)
-    if a.dtype.kind not in "iu" or (a.size and (a.min() < low or a.max() >= MERSENNE61)):
-        raise ValueError(message)
-    return a.astype(np.uint64)
-
-
 def coeff_limbs(coeff_matrix: np.ndarray) -> tuple:
     """The operand form of a (rows, k) coefficient matrix for `eval_poly_rows`.
 
@@ -476,17 +517,16 @@ def coeff_limbs(coeff_matrix: np.ndarray) -> tuple:
         for a in range(0, cm.shape[1], CHUNK_POWERS))
 
 
-def eval_poly_rows(limbs: tuple, keys: np.ndarray, gamma, runs: tuple | None = None) -> np.ndarray:
+def eval_poly_rows(limbs: tuple, keys: np.ndarray, gamma: np.ndarray, runs: tuple) -> np.ndarray:
     """Evaluate a stack of polynomials over one key batch.
 
     limbs is the `coeff_limbs` form of a (rows, k) uint64 matrix with
     entries below 2^61-1, constant term first; keys is (n,) uint64 below
-    2^61-1; gamma is one bucket range for every row or a (rows, 1) column
-    of per-row ranges, each in [1, 2^61-1), and runs its `_gamma_runs`,
-    computed here when None (a RowStack passes the ones it keeps).
+    2^61-1; gamma is the (rows, 1) uint64 column of per-row bucket ranges,
+    each in [1, 2^61-1), and runs its `_gamma_runs`: a RowStack's fields.
     Returns (rows, n) bucket indices, row r reduced mod its gamma. This is
-    the one polynomial kernel: a RowStack sweeps all its rows in one call,
-    and KWiseHash.eval_batch one row.
+    the one polynomial kernel, called by `RowStack.flat_cells`: a sketch's
+    stack sweeps all its rows in one call, and KWiseHash.eval_batch one row.
 
     Keys go in blocks of BLOCK_KEYS, so temporaries are bounded by
     (3*rows or 3*k) x BLOCK_KEYS whatever the batch size; the blocks'
@@ -518,9 +558,6 @@ def eval_poly_rows(limbs: tuple, keys: np.ndarray, gamma, runs: tuple | None = N
     rows = limbs[0].shape[1]
     k = sum(c.shape[2] for c in limbs) // 3
     out = np.empty((rows, keys.size), dtype=np.uint64)
-    gamma = np.asarray(gamma, dtype=np.uint64)
-    if runs is None:
-        runs = _gamma_runs(gamma.reshape(-1), rows)
     bufs = None
     for start in range(0, keys.size, BLOCK_KEYS):
         x = keys[start : start + BLOCK_KEYS]
@@ -571,13 +608,14 @@ def _block_buffers(rows: int, k: int, kc: int, n: int) -> tuple:
     return buf[:a].reshape(k, n), buf[a:b], buf[b:]
 
 
-def _gamma_runs(gamma: np.ndarray, rows: int) -> tuple:
+def _gamma_runs(gamma: np.ndarray) -> tuple:
     """((a, b, g), ...): the maximal runs of rows a..b-1 whose bucket range is g.
 
-    gamma is flat: one entry per row, or one for every row.
+    gamma is flat, one uint64 entry per row.
     """
     cuts = (np.flatnonzero(gamma[1:] != gamma[:-1]) + 1).tolist()
-    return tuple((a, b, gamma[a : a + 1].reshape(())) for a, b in zip([0, *cuts], [*cuts, rows]))
+    return tuple((a, b, gamma[a : a + 1].reshape(()))
+                 for a, b in zip([0, *cuts], [*cuts, gamma.size]))
 
 
 def _fold(v: np.ndarray, scratch: np.ndarray) -> np.ndarray:
@@ -707,37 +745,28 @@ class PowerHash:
     __slots__ = ("base", "modulus", "key_bound")
 
     def __init__(self, seed: int, p: int, q: int):
-        stream = SeededStream(seed, _STREAM_CHECKSUM << 56)
-        self._init_fields(1 + stream.below(q - 1), p, q)
+        self._init_fields(p, q)
+        self.base = 1 + SeededStream(seed, _STREAM_CHECKSUM << 56).below(self.modulus - 1)
 
-    def _init_fields(self, base: int, p: int, q: int) -> None:
-        check_power_params(p, q)
-        self.base = base
-        self.modulus = q
-        self.key_bound = p
+    def _init_fields(self, p: int, q: int) -> None:
+        self.key_bound, self.modulus = check_int(p, "p"), check_int(q, "q")
+        check_power_params(self.key_bound, self.modulus)
 
     @classmethod
     def with_base(cls, base: int, p: int, q: int) -> "PowerHash":
         """Build with an explicit base (exhaustive sweeps, fixed examples)."""
-        if not 1 <= base <= q - 1:
-            raise ValueError("base must lie in [1, q-1]")
         obj = cls.__new__(cls)
-        obj._init_fields(base, p, q)
+        obj._init_fields(p, q)
+        obj.base = check_int(base, "base", 1, obj.modulus)
         return obj
 
     def eval(self, key: int) -> int:
-        # A bool is an int to `pow`; like eval_batch, refuse it and non-integers.
-        if isinstance(key, (bool, np.bool_)) or not isinstance(key, (int, np.integer)):
-            raise ValueError("checksum keys must be integers")
-        if not 0 <= key < self.key_bound:
-            raise ValueError("checksum key out of domain [0, p)")
-        return pow(self.base, int(key), self.modulus)
+        return pow(self.base, check_int(key, "checksum key", 0, self.key_bound), self.modulus)
 
     def eval_batch(self, keys) -> np.ndarray:
         """Object array of a^key mod q; repeated keys are computed once."""
-        uniq, inverse = np.unique(_key_array(keys), return_inverse=True)
-        if uniq.size and int(uniq[-1]) >= self.key_bound:
-            raise ValueError("checksum key out of domain [0, p)")
+        keys = check_uint64(keys, "checksum keys", 0, self.key_bound)
+        uniq, inverse = np.unique(keys, return_inverse=True)
         q = self.modulus
         table = _power_table(self.base, q, self.key_bound.bit_length())
         acc = table[0][uniq & _WINDOW_MASK]
@@ -783,13 +812,14 @@ def _power_table(base: int, q: int, bits: int) -> np.ndarray:
     return table
 
 
-@functools.lru_cache(maxsize=64)
+@functools.lru_cache(maxsize=64, typed=True)
 def check_power_params(p: int, q: int) -> None:
-    """Raise ValueError unless p < q are both prime.
+    """Raise ValueError unless p < q are both prime integers.
 
     Params, PowerHash and the envelope decoder all meet the same pair, and
     proving a 128-bit q takes 64 Miller-Rabin rounds, so a valid pair is
-    cached: proven once per process. Rejections raise and are not cached.
+    cached: proven once per process. Rejections raise and are not cached;
+    the cache is typed, so 97.0 never hits the entry that 97 left.
     """
     if not is_prime(p):
         raise ValueError(f"p={p} is not prime")
@@ -824,6 +854,7 @@ def _mr_witness(a: int, d: int, r: int, n: int) -> bool:
 
 def is_prime(n: int) -> bool:
     """Miller-Rabin primality: exact below 2^64, 64 seeded rounds above."""
+    n = check_int(n, "n")
     if n < 2:
         return False
     for sp in _SMALL_PRIMES:
@@ -848,6 +879,7 @@ def is_prime(n: int) -> bool:
 
 def next_prime_at_least(n: int) -> int:
     """Smallest prime >= n."""
+    n = check_int(n, "n")
     if n <= 2:
         return 2
     c = n | 1

@@ -29,14 +29,14 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .core import (BasicTable, CHECKSUM_CELL_BYTES, CellStore, MAX_Q_BITS, Mutations,
                    PLAIN_CELL_BYTES, extract, scatter)
-from .hashing import MERSENNE61, PowerHash, RowStack, check_power_params, next_prime_at_least
+from .hashing import (MERSENNE61, PowerHash, RowStack, check_int, check_power_params,
+                      next_prime_at_least)
 
 DEFAULT_BIG_C = 8 * math.e
 DEFAULT_C0 = 4.0
@@ -108,14 +108,12 @@ class Params:
     master_seed: int = 0
 
     def __post_init__(self):
-        for name in ("n", "k", "master_seed", "p", "q"):
-            if name in ("n", "master_seed") or getattr(self, name) is not None:
-                try:
-                    object.__setattr__(self, name, operator.index(getattr(self, name)))
-                except TypeError:
-                    raise ValueError(f"{name} must be an integer") from None
-        if self.n < 1:
-            raise ValueError("capacity n must be >= 1")
+        # Integer fields become Python ints; k, p and q may be None until defaulted.
+        for name, low, high in (("n", 1, None), ("master_seed", 0, 1 << 64), ("k", None, None),
+                                ("p", 0, 1 << 64), ("q", 0, 1 << MAX_Q_BITS)):
+            value = getattr(self, name)
+            if value is not None or name in ("n", "master_seed"):
+                object.__setattr__(self, name, check_int(value, name, low, high))
         if not (isinstance(self.delta, float) and math.isfinite(self.delta)
                 and 0.0 < self.delta < 1.0):
             raise ValueError("delta must be a finite float in (0, 1)")
@@ -125,8 +123,6 @@ class Params:
             raise ValueError("c0 must be positive and finite")
         if self.mode not in ("plain", "checksum"):
             raise ValueError("mode must be 'plain' or 'checksum'")
-        if not 0 <= self.master_seed < 1 << 64:
-            raise ValueError("master_seed must fit in 64 bits")
         if self.k is None:
             object.__setattr__(self, "k", default_independence(self.n, self.delta))
         if self.k < 2 or self.k % 2:
@@ -143,10 +139,6 @@ class Params:
         if self.q is None:
             object.__setattr__(self, "q", default_checksum_modulus(
                 self.n, self.delta, self.big_c, self.p))
-        if self.p.bit_length() > 64:
-            raise ValueError("p must fit in 64 bits (keys are 64-bit)")
-        if self.q.bit_length() > MAX_Q_BITS:
-            raise ValueError("q must fit in 128 bits")
         check_power_params(self.p, self.q)
 
     @property

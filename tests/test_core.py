@@ -127,6 +127,12 @@ def test_bad_sign_rejected():
     for item in [(2, 5, 7), (True, 5, 7)]:
         with pytest.raises(ValueError, match="signs"):
             t.delete([item])
+    # Unsigned numpy signs are checked as given, not after a wrapping negation.
+    for sign in (np.uint64(1), np.uint8(1)):
+        t.delete([(sign, 5, 7)])
+    want = fresh()
+    want.delete([(1, 5, 7), (1, 5, 7)])
+    assert t == want
 
 
 @pytest.mark.parametrize("make", [fresh, lambda: StackedSketch(Params(n=8, delta=0.25))],

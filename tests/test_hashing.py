@@ -89,9 +89,9 @@ def test_eval_property_vs_oracle(seed, k, gamma, keys):
 
 def test_eval_poly_rows_matches_oracle():
     hs = [KWiseHash(5, 4, 13, stream_id=i) for i in range(6)]
-    cm = np.stack([np.array(h.coefficients, dtype=np.uint64) for h in hs])
+    s = RowStack([h.coefficients for h in hs], [13] * 6)
     keys = [0, 1, 7, 2**60, MERSENNE61 - 1]
-    got = eval_poly_rows(coeff_limbs(cm), np.array(keys, dtype=np.uint64), 13)
+    got = eval_poly_rows(s.limbs, np.array(keys, dtype=np.uint64), s.gamma, s.runs)
     for r, h in enumerate(hs):
         want = [horner_oracle(h.coefficients, x, MERSENNE61) % 13 for x in keys]
         assert got[r].tolist() == want
@@ -110,7 +110,7 @@ def test_eval_poly_rows_blocks_extremes_and_gamma_column(n):
     keys = rng.integers(0, MERSENNE61, size=n, dtype=np.uint64)
     keys[::3] = top
     gamma = np.array([[1], [97], [2**40 + 15], [MERSENNE61 - 1]], dtype=np.uint64)
-    got = eval_poly_rows(coeff_limbs(cm), keys, gamma)
+    got = eval_poly_rows(coeff_limbs(cm), keys, gamma, hashing._gamma_runs(gamma.reshape(-1)))
     assert got.shape == (4, n)
     for r in range(4):
         coeffs = cm[r].tolist()
@@ -136,7 +136,7 @@ def test_eval_poly_rows_degrees_across_power_chunks(k):
     keys = rng.integers(0, MERSENNE61, size=300 if k <= 1100 else 20, dtype=np.uint64)
     keys[::3] = top
     gamma = np.array([[1], [1000003], [top], [97]], dtype=np.uint64)
-    got = eval_poly_rows(coeff_limbs(cm), keys, gamma)
+    got = eval_poly_rows(coeff_limbs(cm), keys, gamma, hashing._gamma_runs(gamma.reshape(-1)))
     for r in range(4):
         coeffs = cm[r].tolist()
         want = [horner_oracle(coeffs, x, MERSENNE61) % int(gamma[r, 0])
@@ -289,9 +289,10 @@ def test_eval_poly_rows_batch_is_concatenation_of_pieces(k):
     limbs = coeff_limbs(cm)
     gamma = np.array([[7], [7], [1000], [MERSENNE61 - 1], [2]], dtype=np.uint64)
     keys = rng.integers(0, MERSENNE61, size=700, dtype=np.uint64)
-    whole = eval_poly_rows(limbs, keys, gamma)
+    runs = hashing._gamma_runs(gamma.reshape(-1))
+    whole = eval_poly_rows(limbs, keys, gamma, runs)
     for cut in (1, 255, 256, 257, int(rng.integers(2, 699))):
-        parts = [eval_poly_rows(limbs, part, gamma) for part in (keys[:cut], keys[cut:])]
+        parts = [eval_poly_rows(limbs, part, gamma, runs) for part in (keys[:cut], keys[cut:])]
         assert np.array_equal(np.concatenate(parts, axis=1), whole)
 
 
@@ -309,7 +310,8 @@ def test_gamma_runs_are_maximal_adjacent_runs(monkeypatch):
            (2, 3): [(0, 1, 7)], (1, 2): [(0, 1, 5)]}
 
     def recomputed(s):
-        return eval_poly_rows(s.limbs, keys, s.gamma) + s.offsets
+        runs = hashing._gamma_runs(s.gamma.reshape(-1))
+        return eval_poly_rows(s.limbs, keys, s.gamma, runs) + s.offsets
 
     views = {span: stack.segment(*span) for span in cut}
     for s in (stack, one, *views.values()):
@@ -397,10 +399,12 @@ def test_rejection_in_a_partial_last_block_continues_at_word_k(monkeypatch):
     # k = 6 ends two words into block 1. A rejected word k-1 = 5 is
     # replaced by word k = 6, the next word of that block, as numpy's
     # Philox hands out the rest of its 4-word buffer after random_raw(k).
+    # Each row holding a rejected word is drawn again by its definition, a
+    # SeededStream from word 0, which reads one refill of 16 blocks.
     words = [10, 11, 12, 13, 14, 2**64 - 1, 16, 17, 18]
     draws = scripted_words(monkeypatch, words)
     assert _field_rows(0, [3, 4], 6).tolist() == [[10, 11, 12, 13, 14, 16]] * 2
-    assert draws == [(0, 2), (1, 1), (1, 1)]
+    assert draws == [(0, 2), (0, 16), (0, 16)]
 
 
 # Stream ids and word counts of the word-for-word check against numpy's Philox.

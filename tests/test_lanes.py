@@ -116,7 +116,8 @@ def test_reduce_after_a_larger_kernel_call_gives_fresh_thread_results(on_fresh_t
 
 RETURNED = {
     "flat_cells": lambda s, keys: [s._stack.flat_cells(keys), s._stack.flat_cells(keys[:1])],
-    "eval_poly_rows": lambda s, keys: [eval_poly_rows(s._stack.limbs, keys, s._stack.gamma)],
+    "eval_poly_rows": lambda s, keys: [eval_poly_rows(s._stack.limbs, keys, s._stack.gamma,
+                                                      s._stack.runs)],
     "eval_batch": lambda s, keys: [KWiseHash(1, 8, 100).eval_batch(keys)],
     "reduce_lanes": lambda s, keys: [reduce_lanes(s._cells.hash_sum, s.params.q)],
     "residues": lambda s, keys: [s._cells.residues()],

@@ -779,3 +779,31 @@ def test_only_hashing_imports_the_kernel_operands():
                  for a in node.names}
         names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
         assert not names & kernel, path.name
+
+
+def test_only_the_integer_checks_decide_what_an_integer_is():
+    # hashing.check_int and hashing.check_uint64 are the package's one
+    # integer check; no other code tests a dtype kind, numpy's bool or
+    # operator.index, so the sites cannot drift apart again.
+    checks = {"check_int", "check_uint64"}
+
+    def banned(node):
+        if not isinstance(node, ast.Attribute):
+            return False
+        return ((node.attr == "index" and isinstance(node.value, ast.Name)
+                 and node.value.id == "operator")
+                or (node.attr == "kind" and isinstance(node.value, ast.Attribute)
+                    and node.value.attr == "dtype")
+                or node.attr == "bool_")
+
+    seen = set()
+    for path in pathlib.Path(stacked_iblt.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        allowed = {id(n) for f in ast.walk(tree)
+                   if isinstance(f, ast.FunctionDef) and f.name in checks
+                   for n in ast.walk(f)}
+        for node in ast.walk(tree):
+            if banned(node):
+                assert id(node) in allowed, f"{path.name}:{node.lineno}"
+                seen.add(path.name)
+    assert seen == {"hashing.py"}       # not vacuous: it finds the checks' dtype test
