@@ -1,9 +1,8 @@
 """Experiment harness: desk-scale runs that check the sketch's guarantees.
 
 Every subcommand is deterministic given (seed, params): trials derive
-their own seeds from (seed, trial index), workers only partition the
-trial range, and aggregation preserves trial order, so the CSV output is
-byte-identical across runs and thread counts. IBLT_THREADS caps workers.
+their own seeds from (seed, trial index) and run in order in one thread,
+so the CSV output is byte-identical across runs.
 
 Exit status is nonzero iff a measured value exceeds its bound beyond the
 declared slack (mean + 3*sqrt(mean) + 1 for counting experiments, exact
@@ -23,11 +22,10 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import itertools
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -72,23 +70,6 @@ def _parameters(args):
         yield
     except ValueError as exc:
         args.usage_error(str(exc))
-
-
-def _worker_count() -> int:
-    workers = os.cpu_count() or 1
-    cap = os.environ.get("IBLT_THREADS")
-    if cap:
-        workers = min(workers, max(int(cap), 1))
-    return max(workers, 1)
-
-
-def _run_trials(fn, trials: int) -> list:
-    workers = _worker_count()
-    if workers == 1 or trials < 2:
-        return [fn(t) for t in range(trials)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        chunk = max(1, trials // (workers * 8))
-        return list(pool.map(fn, range(trials), chunksize=chunk))
 
 
 def _emit(out_path: str | None, lines: list[str]) -> None:
@@ -146,27 +127,25 @@ def _non_unique_count(buckets: np.ndarray):
 def cmd_unique_hash(args) -> int:
     n, big_c, k, trials, seed = args.n, args.big_c, args.k, args.trials, args.seed
     with _parameters(args):
+        check_int(seed, "seed", 0, 1 << 64)
         if not (big_c > 0 and math.isfinite(big_c) and math.ceil(big_c * n) < MERSENNE61):
             raise ValueError("big_c must be positive, with ceil(big_c * n) below 2^61-1")
     gamma = math.ceil(big_c * n)
     keys = np.arange(n, dtype=np.uint64)
-
-    def chunk(c: int) -> list[tuple[int, int]]:
+    bad = []
+    for start in range(0, trials, _TRIAL_CHUNK):
         # Fresh 2k-wise family member per trial, a degree 2k-1 polynomial:
         # row i of the chunk's stack is KWiseHash(seed, 2k, gamma,
         # stream_id=_TRIAL_STREAM | trial).
-        chunk_trials = range(c * _TRIAL_CHUNK, min(trials, (c + 1) * _TRIAL_CHUNK))
-        stack = RowStack.from_streams(seed, 2 * k, [_TRIAL_STREAM | t for t in chunk_trials],
-                                      [gamma] * len(chunk_trials))
-        bad = _non_unique_count(stack.flat_cells(keys)).tolist()
-        return [(b, int(b > n / 2)) for b in bad]
-
-    results = [r for part in _run_trials(chunk, -(-trials // _TRIAL_CHUNK)) for r in part]
-    failures = sum(f for _, f in results)
+        chunk = range(start, min(trials, start + _TRIAL_CHUNK))
+        stack = RowStack.from_streams(seed, 2 * k, [_TRIAL_STREAM | t for t in chunk],
+                                      [gamma] * len(chunk))
+        bad += _non_unique_count(stack.flat_cells(keys)).tolist()
+    failures = sum(b > n / 2 for b in bad)
     bound = 4.0 * (4.0 * math.e / big_c) ** min(k, n / big_c) if big_c > 4 * math.e else None
     lines = [_params_line("unique-hash", n=n, big_c=big_c, k=k, trials=trials, seed=seed),
              "trial,non_unique_count,failed"]
-    lines += [f"{t},{bad},{f}" for t, (bad, f) in enumerate(results)]
+    lines += [f"{t},{b},{int(b > n / 2)}" for t, b in enumerate(bad)]
     _emit(args.out, lines)
     if bound is None:
         _say(args.out, f"failures={failures}/{trials} bound=n/a (C <= 4e makes it vacuous)")
@@ -184,8 +163,10 @@ def _params(args, **kw) -> Params:
 
 
 def _key_domain(params: Params, count: int) -> int:
-    """The key bound of sketches with these params, checked to hold `count` keys."""
-    bound = key_bound(StackedSketch(params).checksum)
+    """The key bound of sketches with these params, checked to hold `count`
+    keys; their layout is planned too, so one that cannot be fails here."""
+    plan_layout(params)
+    bound = key_bound(params.p)
     if count > bound:
         raise ValueError(f"{count} distinct keys do not fit in the key domain [0, {bound})")
     return bound
@@ -195,24 +176,20 @@ def cmd_decode_failure(args) -> int:
     load = args.load if args.load is not None else args.n
     with _parameters(args):
         # master_seed checks --seed: each trial derives its own from it.
-        bound = _key_domain(_params(args, mode=args.mode, p=args.p, q=args.q,
-                                    master_seed=args.seed), load)
+        params = _params(args, mode=args.mode, p=args.p, q=args.q, master_seed=args.seed)
+        bound = _key_domain(params, load)
     # Trial t's master seed is SeededStream(seed, _SEED_STREAM | t).below(2^64).
     masters = _stream_heads(args.seed, np.arange(args.trials, dtype=np.uint64)
                             | np.uint64(_SEED_STREAM)).tolist()
-
-    def one(trial: int) -> tuple[int, int]:
-        sketch = StackedSketch(_params(args, mode=args.mode, p=args.p, q=args.q,
-                                       master_seed=masters[trial]))
+    results = []
+    for trial, master in enumerate(masters):
+        sketch = StackedSketch(dataclasses.replace(params, master_seed=master))
         rng = _trial_rng(args.seed, trial, salt=1)
         keys = _distinct_keys(rng, load, bound)
         values = rng.integers(0, 1 << 64, size=load, dtype=np.uint64)
         sketch.insert_arrays(keys, values)
         out = sketch.list_entries(in_place=True)
-        recovered = len(out.recovered_plus)
-        return recovered, int(out.complete and not out.inconsistent)
-
-    results = _run_trials(one, args.trials)
+        results.append((len(out.recovered_plus), int(out.complete and not out.inconsistent)))
     failures = sum(1 - ok for _, ok in results)
     lines = [_params_line("decode-failure", n=args.n, delta=args.delta, load=load,
                           trials=args.trials, seed=args.seed, big_c=args.big_c,

@@ -65,9 +65,10 @@ _LIMB = 0xFFFFFFFF
 _REDUCE_BLOCK = 4096
 
 
-def key_bound(checksum: PowerHash | None) -> int:
-    """Keys must lie in [0, key_bound): 2^61-1, and p in checksum mode."""
-    return MERSENNE61 if checksum is None else min(checksum.key_bound, MERSENNE61)
+def key_bound(p: int | None) -> int:
+    """Keys must lie in [0, key_bound(p)): below 2^61-1, and below the key
+    prime p in checksum mode (p is None in plain mode)."""
+    return MERSENNE61 if p is None else min(p, MERSENNE61)
 
 
 def to_lanes(values) -> np.ndarray:
@@ -198,7 +199,7 @@ class Mutations:
         per key or one for all, come from the adapters (`delete` checks its
         signs there too, before it negates them) and are trusted.
         """
-        keys = check_uint64(keys, "keys", 0, key_bound(self.checksum))
+        keys = check_uint64(keys, "keys", 0, key_bound(self.checksum and self.checksum.key_bound))
         values = check_uint64(values, "values")
         if keys.ndim != 1 or values.shape != keys.shape:
             raise ValueError("keys and values must be 1-D arrays of equal length")
@@ -368,7 +369,8 @@ def extract(cells: CellStore, checksum: PowerHash | None) -> tuple:
     signs = cnt[idx]
     sign = signs.view(np.uint64)        # 1 or 2^64-1: a wrapping product negates
     keys, values = cells.key_sum[idx] * sign, cells.value_sum[idx] * sign
-    ok = keys < np.uint64(key_bound(checksum))   # a multi-key residue can leave the domain
+    # A multi-key residue can leave the domain.
+    ok = keys < np.uint64(key_bound(checksum and checksum.key_bound))
     idx, keys, values, signs = idx[ok], keys[ok], values[ok], signs[ok]
     if checksum is None:
         return keys, values, signs, None

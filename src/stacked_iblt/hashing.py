@@ -812,15 +812,19 @@ def _power_table(base: int, q: int, bits: int) -> np.ndarray:
     return table
 
 
-@functools.lru_cache(maxsize=64, typed=True)
 def check_power_params(p: int, q: int) -> None:
     """Raise ValueError unless p < q are both prime integers.
 
     Params, PowerHash and the envelope decoder all meet the same pair, and
     proving a 128-bit q takes 64 Miller-Rabin rounds, so a valid pair is
-    cached: proven once per process. Rejections raise and are not cached;
-    the cache is typed, so 97.0 never hits the entry that 97 left.
+    proven once per process: p and q pass `check_int` first, and the proof
+    is cached on the resulting ints. Rejections raise and are not cached.
     """
+    _prove_power_params(check_int(p, "p"), check_int(q, "q"))
+
+
+@functools.lru_cache(maxsize=64)
+def _prove_power_params(p: int, q: int) -> None:
     if not is_prime(p):
         raise ValueError(f"p={p} is not prime")
     if not is_prime(q):

@@ -50,6 +50,7 @@ MAX_INDEPENDENCE = 4096
 
 def default_independence(n: int, delta: float) -> int:
     """Smallest even k with 2^(-k/2) < delta / (4 * ceil(lg n)^2)."""
+    n = check_int(n, "n", 1)
     lgn = max(math.ceil(math.log2(max(n, 2))), 1)
     # lg(4 lgn^2 / delta) in the log domain: the quotient overflows a float
     # for subnormal delta.
@@ -58,13 +59,22 @@ def default_independence(n: int, delta: float) -> int:
 
 def checksum_modulus_bound(n: int, delta: float, big_c: float, p: int) -> int:
     """Modulus size needed for the subtraction guarantee at these params."""
+    n, p = check_int(n, "n", 1), check_int(p, "p", 0, 1 << 64)
     lg_inv = -math.log2(delta)
     factor = max(lg_inv * max(math.log2(lg_inv) if lg_inv > 0 else 0.0, 0.0), 1.0)
     return math.ceil(2.0 * big_c * factor / delta * (n ** 3) * p)
 
 
-@functools.lru_cache(maxsize=64)
 def default_checksum_modulus(n: int, delta: float, big_c: float, p: int) -> int:
+    """Smallest prime q above p and at least `checksum_modulus_bound`;
+    ValueError when it would pass 128 bits."""
+    return _default_checksum_modulus(check_int(n, "n", 1), delta, big_c,
+                                     check_int(p, "p", 0, 1 << 64))
+
+
+@functools.lru_cache(maxsize=64)
+def _default_checksum_modulus(n: int, delta: float, big_c: float, p: int) -> int:
+    # Cached on checked ints: finding a 128-bit prime takes many Miller-Rabin rounds.
     bound = checksum_modulus_bound(n, delta, big_c, p)
     if bound.bit_length() > MAX_Q_BITS:
         raise ValueError(

@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+from stacked_iblt import cli
 from stacked_iblt.cli import (_count_slack, _non_unique_count, _parse_delta,
                               build_parser, main)
 from stacked_iblt.hashing import KWiseHash
@@ -279,6 +280,9 @@ def test_bad_count_is_a_usage_error(argv, tmp_path):
     (["reconcile-demo", "--p", "5", "--q", "11", "--n", "4"], "key domain"),
     (["decode-failure", "--seed", "-1", "--n", "4", "--trials", "1"], "seed"),
     (["decode-failure", "--seed", str(2**64), "--n", "4", "--trials", "1"], "seed"),
+    # Seeds are not taken mod 2^64: -1 would repeat the trials of 2^64 - 1.
+    (["unique-hash", "--seed", "-1", "--trials", "1"], "seed"),
+    (["unique-hash", "--seed", str(2**64), "--trials", "1"], "seed"),
 ])
 def test_bad_parameter_is_a_usage_error(argv, field, tmp_path, capsys):
     out = tmp_path / "out.csv"
@@ -286,6 +290,23 @@ def test_bad_parameter_is_a_usage_error(argv, field, tmp_path, capsys):
     last = capsys.readouterr().err.splitlines()[-1]
     assert last.startswith(f"stacked-iblt {argv[0]}: error: ") and field in last
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, sketches", [
+    (["decode-failure", "--n", "16", "--delta", "2^-4", "--trials", "3"], 3),
+    (["reconcile-demo", "--n", "16", "--delta", "2^-4", "--size-a", "40", "--size-b", "40"], 2),
+])
+def test_no_sketch_is_built_for_the_key_domain(argv, sketches, monkeypatch, tmp_path):
+    # The command builds one sketch per trial (decode-failure) or one per
+    # party (reconcile-demo); its parameter checks build none.
+    built = []
+    real_sketch, real_sketch_of = cli.StackedSketch, cli.sketch_of
+    monkeypatch.setattr(cli, "StackedSketch", lambda params: built.append(params)
+                        or real_sketch(params))
+    monkeypatch.setattr(cli, "sketch_of", lambda pairs, params: built.append(params)
+                        or real_sketch_of(pairs, params))
+    assert main(argv + ["--out", str(tmp_path / "out.csv")]) == 0
+    assert len(built) == sketches
 
 
 def test_error_after_the_checks_keeps_its_traceback(monkeypatch, tmp_path):

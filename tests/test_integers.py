@@ -10,8 +10,9 @@ integers raise ValueError too, each against its entry point's own range.
 import numpy as np
 import pytest
 
-from stacked_iblt import (BasicTable, KWiseHash, Params, PowerHash, StackedSketch, is_prime,
-                          next_prime_at_least)
+from stacked_iblt import (BasicTable, KWiseHash, Params, PowerHash, StackedSketch,
+                          checksum_modulus_bound, default_checksum_modulus,
+                          default_independence, is_prime, next_prime_at_least)
 from stacked_iblt.hashing import RowStack, check_power_params
 
 U64 = (1 << 64) - 1
@@ -88,13 +89,16 @@ ENTRY_POINTS = {
     "next_prime_at_least": lambda x: next_prime_at_least(x),
     "check_power_params p": lambda x: check_power_params(x, 389),
     "check_power_params q": lambda x: check_power_params(97, x),
+    "default_independence n": lambda x: default_independence(x, 0.25),
+    "checksum_modulus_bound n": lambda x: checksum_modulus_bound(x, 0.25, 21.7, 97),
+    "checksum_modulus_bound p": lambda x: checksum_modulus_bound(8, 0.25, 21.7, x),
+    "default_checksum_modulus n": lambda x: default_checksum_modulus(x, 0.25, 21.7, 97),
+    "default_checksum_modulus p": lambda x: default_checksum_modulus(8, 0.25, 21.7, x),
 }
 
 # Inputs an entry point takes: seeds and stream ids are taken mod 2^64, a
 # sign may be -1, any integer may be tested for primality, n has no upper
-# bound, and None selects Params' default k, p or q. check_power_params
-# hashes its arguments for its cache first, so an array fails there with
-# TypeError.
+# bound, and None selects Params' default k, p or q.
 TAKEN = {
     "KWiseHash seed": {"-1", "2^64"},
     "KWiseHash stream_id": {"-1", "2^64"},
@@ -106,8 +110,8 @@ TAKEN = {
     "Params k": {"None"},
     "Params p": {"None"},
     "Params q": {"None"},
-    "check_power_params p": {"object array"},
-    "check_power_params q": {"object array"},
+    "default_independence n": {"2^64"},
+    "checksum_modulus_bound n": {"2^64"},
 }
 
 # Inputs that were truncated, taken as 1, or refused with TypeError before

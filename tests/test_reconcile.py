@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stacked_iblt import hashing
-from stacked_iblt.hashing import check_power_params, next_prime_at_least
+from stacked_iblt.hashing import next_prime_at_least
 from stacked_iblt.reconcile import (_HEADER, EnvelopeError, deserialize, layout_digest,
                                     reconcile_local, serialize, sketch_of)
 from stacked_iblt.stacked import Params, StackedSketch, plan_layout
@@ -198,7 +198,7 @@ def test_one_primality_proof_per_pair(monkeypatch):
     # Params, every sketch's PowerHash and the received envelope's Params
     # all validate (p, q); the 128-bit q is proven once.
     p, q = 1_000_003, next_prime_at_least(1 << 100)
-    check_power_params.cache_clear()
+    hashing._prove_power_params.cache_clear()
     proven = []
     real = hashing.is_prime
     monkeypatch.setattr(hashing, "is_prime", lambda n: proven.append(n) or real(n))

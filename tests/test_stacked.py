@@ -781,6 +781,35 @@ def test_only_hashing_imports_the_kernel_operands():
         assert not names & kernel, path.name
 
 
+def environment_or_pool_uses(source: str) -> list[int]:
+    """Lines of `source` that read the environment or import a worker pool."""
+    banned = ("os.environ", "os.getenv", "concurrent.futures", "multiprocessing")
+    lines = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [f"{node.module}.{a.name}" for a in node.names]
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            names = [f"{node.value.id}.{node.attr}"]
+        else:
+            continue
+        if any(n == b or n.startswith(b + ".") for n in names for b in banned):
+            lines.add(node.lineno)
+    return sorted(lines)
+
+
+def test_no_environment_variables_or_worker_pools():
+    # The package's behaviour is its arguments: no module reads an
+    # environment variable or runs work in a pool. (hashing's per-thread
+    # scratch stays: callers may hash from threads of their own.)
+    for path in pathlib.Path(stacked_iblt.__file__).parent.glob("*.py"):
+        assert environment_or_pool_uses(path.read_text()) == [], path.name
+    caught = ("import os\nos.environ.get('X')\nfrom os import getenv\n"
+              "from concurrent.futures import ThreadPoolExecutor\nimport multiprocessing.pool\n")
+    assert environment_or_pool_uses(caught) == [2, 3, 4, 5]
+
+
 def test_only_the_integer_checks_decide_what_an_integer_is():
     # hashing.check_int and hashing.check_uint64 are the package's one
     # integer check; no other code tests a dtype kind, numpy's bool or
