@@ -7,8 +7,8 @@ so the CSV output is byte-identical across runs.
 Exit status is nonzero iff a measured value exceeds its bound beyond the
 declared slack (mean + 3*sqrt(mean) + 1 for counting experiments, exact
 for the others), which makes the harness usable as a CI gate. Each
-command checks its parameters before its first trial; a bad one is a
-usage error, with exit status 2.
+command checks every parameter, counts included, before its first trial
+(argparse only parses numbers); a bad one is a usage error, exit status 2.
 
 Each subcommand takes only the options it reads, and --out (CSV path):
     unique-hash     --n --trials --seed --big-c --k
@@ -30,9 +30,10 @@ import sys
 import numpy as np
 
 from .core import CHECKSUM_CELL_BYTES, PLAIN_CELL_BYTES, key_bound
-from .hashing import MERSENNE61, RowStack, _stream_heads, check_int, check_power_params
+from .hashing import MERSENNE61, RowStack, _stream_heads, check_int, check_power_params, check_real
 from .reconcile import reconcile_local, serialize, sketch_of
-from .stacked import DEFAULT_BIG_C, DEFAULT_C0, Params, StackedSketch, plan_layout
+from .stacked import (DEFAULT_BIG_C, DEFAULT_C0, MAX_INDEPENDENCE, Params, StackedSketch,
+                      plan_layout)
 
 _TRIAL_STREAM = 0x10 << 56      # per-trial hash draws
 _SEED_STREAM = 0x11 << 56       # per-trial derived master seeds
@@ -52,21 +53,14 @@ def _parse_delta(text: str) -> float:
     return float(text)
 
 
-def _int_at_least(low: int):
-    """argparse type: an integer >= low."""
-    def integer(text: str) -> int:
-        value = int(text)
-        if value < low:
-            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
-        return value
-    return integer
-
-
 @contextlib.contextmanager
 def _parameters(args):
-    # Marks a command's checks, run before its first trial: a ValueError
-    # there is a usage error. Raised anywhere else, it keeps its traceback.
+    # Checks a command's counts and marks its other checks, all before its first
+    # trial: a ValueError there is a usage error; anywhere else, it keeps its traceback.
     try:
+        for name, low in dict(trials=1, load=0, ell_max=1, size_a=0, size_b=0, diff=0).items():
+            if getattr(args, name, None) is not None:
+                check_int(getattr(args, name), name, low)
         yield
     except ValueError as exc:
         args.usage_error(str(exc))
@@ -127,8 +121,10 @@ def _non_unique_count(buckets: np.ndarray):
 def cmd_unique_hash(args) -> int:
     n, big_c, k, trials, seed = args.n, args.big_c, args.k, args.trials, args.seed
     with _parameters(args):
+        check_int(n, "n", 1, 1 << 64)       # keys 0..n-1 are uint64; Params caps 2k
+        check_int(k, "k", 1, MAX_INDEPENDENCE // 2 + 1)
         check_int(seed, "seed", 0, 1 << 64)
-        if not (big_c > 0 and math.isfinite(big_c) and math.ceil(big_c * n) < MERSENNE61):
+        if not check_real(big_c, "big_c", 0) * n <= MERSENNE61 - 1:     # ceil(inf) would raise
             raise ValueError("big_c must be positive, with ceil(big_c * n) below 2^61-1")
     gamma = math.ceil(big_c * n)
     keys = np.arange(n, dtype=np.uint64)
@@ -319,13 +315,13 @@ def cmd_lemma3(args) -> int:
 # -- reconcile-demo ------------------------------------------------------------
 
 def cmd_reconcile_demo(args) -> int:
-    # Solve a_only + b_only = diff with a_only - b_only = size_a - size_b,
-    # then clamp; reported sizes are the realizable ones.
-    a_only = max(0, min(args.diff, (args.diff + args.size_a - args.size_b) // 2))
-    b_only = args.diff - a_only
-    shared = max(min(args.size_a - a_only, args.size_b - b_only), 0)
-    size_a, size_b = shared + a_only, shared + b_only
     with _parameters(args):
+        # Solve a_only + b_only = diff with a_only - b_only = size_a - size_b,
+        # then clamp; reported sizes are the realizable ones.
+        a_only = max(0, min(args.diff, (args.diff + args.size_a - args.size_b) // 2))
+        b_only = args.diff - a_only
+        shared = max(min(args.size_a - a_only, args.size_b - b_only), 0)
+        size_a, size_b = shared + a_only, shared + b_only
         params = _params(args, mode="checksum", p=args.p, q=args.q, master_seed=args.seed)
         bound = _key_domain(params, shared + args.diff)
     rng = _trial_rng(args.seed, 0, salt=2)
@@ -360,21 +356,21 @@ def cmd_reconcile_demo(args) -> int:
 
 # Every option, by dest name; the flag is "--" plus the name with "-" for "_".
 _OPTIONS = {
-    "n": dict(type=_int_at_least(1), help="capacity threshold"),
+    "n": dict(type=int, help="capacity threshold"),
     "delta": dict(type=_parse_delta, help="target failure probability (accepts 2^-K)"),
-    "trials": dict(type=_int_at_least(1), default=1000),
+    "trials": dict(type=int, default=1000),
     "seed": dict(type=int, default=0),
     "big_c": dict(type=float, default=DEFAULT_BIG_C),
     "c0": dict(type=float, default=DEFAULT_C0),
-    "k": dict(type=_int_at_least(1), default=None),
+    "k": dict(type=int, default=None),
     "mode": dict(choices=("plain", "checksum"), default="plain"),
     "p": dict(type=int, default=None),
     "q": dict(type=int, default=None),
-    "load": dict(type=_int_at_least(0), default=None, help="pairs per trial (default n)"),
-    "ell_max": dict(type=_int_at_least(1), default=2),
-    "size_a": dict(type=_int_at_least(0), default=500),
-    "size_b": dict(type=_int_at_least(0), default=480),
-    "diff": dict(type=_int_at_least(0), default=16),
+    "load": dict(type=int, default=None, help="pairs per trial (default n)"),
+    "ell_max": dict(type=int, default=2),
+    "size_a": dict(type=int, default=500),
+    "size_b": dict(type=int, default=480),
+    "diff": dict(type=int, default=16),
     "out": dict(type=str, default=None, help="CSV path (stdout if omitted)"),
 }
 

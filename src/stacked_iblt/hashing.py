@@ -51,18 +51,22 @@ for word. `_philox_blocks` runs the ten rounds for the counter blocks of
 every stream of a draw at once, on 32-bit halves; numpy's Philox is not
 called, and stays in the tests as the oracle.
 
-What counts as an integer is decided here, once: `check_int` for a
-scalar, `check_uint64` for a batch. A Python or numpy integer or an
-integer-dtype array is one; a bool, float, str, object or None never is.
-Every public entry point passes its integers through them, each with its
-own range; the trusted paths behind them (`RowStack.draw`, the decoder,
-`scatter`, `extract`) do not check again.
+What counts as a number is decided here, once: `check_int` for a scalar
+integer, `check_uint64` for a batch, `check_real` for a real. A Python or
+numpy integer or an integer-dtype array is an integer; a Python or numpy
+integer or float inside its open interval (never NaN or +-inf) is a real,
+returned as a Python float. A bool, str, object or None is neither, and a
+float is no integer. Every public entry point passes its numbers through
+them, each with its own range; the trusted paths behind them
+(`RowStack.draw`, the decoder, `scatter`, `extract`) do not check again.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 import mmap
+import numbers
 import operator
 import threading
 
@@ -182,6 +186,18 @@ def check_int(x, name: str, low: int | None = None, high: int | None = None) -> 
     if (low is not None and x < low) or (high is not None and x >= high):
         raise _range_error(name, low, high)
     return x
+
+
+def check_real(x, name: str, low: float, high: float = math.inf) -> float:
+    """x as a Python float; ValueError unless x is a real in (low, high): a
+    Python or numpy integer or float (`numbers.Real`), but not a bool."""
+    try:
+        value = float(x) if isinstance(x, numbers.Real) and not isinstance(x, bool) else math.nan
+    except OverflowError:           # an int past every float
+        value = math.nan
+    if not low < value < high:      # also refuses NaN and +-inf
+        raise ValueError(f"{name} must be a real number in ({low}, {high})")
+    return value
 
 
 def check_uint64(values, name: str, low: int = 0, high: int = 1 << 64) -> np.ndarray:

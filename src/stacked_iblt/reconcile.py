@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-import math
 import struct
 
 import numpy as np
@@ -101,8 +100,6 @@ def deserialize(data: bytes) -> StackedSketch:
         raise EnvelopeError(f"unsupported envelope version {version}")
     if mode_byte not in (0, 1):
         raise EnvelopeError(f"unknown mode byte {mode_byte}")
-    if not math.isfinite(delta):
-        raise EnvelopeError("non-finite delta")
     mode = "checksum" if mode_byte else "plain"
     q = int.from_bytes(q_raw, "little")
     if not mode_byte and (p_raw or q):

@@ -36,7 +36,7 @@ import numpy as np
 from .core import (BasicTable, CHECKSUM_CELL_BYTES, CellStore, MAX_Q_BITS, Mutations,
                    PLAIN_CELL_BYTES, extract, scatter)
 from .hashing import (MERSENNE61, PowerHash, RowStack, check_int, check_power_params,
-                      next_prime_at_least)
+                      check_real, next_prime_at_least)
 
 DEFAULT_BIG_C = 8 * math.e
 DEFAULT_C0 = 4.0
@@ -50,8 +50,8 @@ MAX_INDEPENDENCE = 4096
 
 def default_independence(n: int, delta: float) -> int:
     """Smallest even k with 2^(-k/2) < delta / (4 * ceil(lg n)^2)."""
-    n = check_int(n, "n", 1)
-    lgn = max(math.ceil(math.log2(max(n, 2))), 1)
+    n, delta = check_int(n, "n", 1), check_real(delta, "delta", 0, 1)
+    lgn = math.ceil(math.log2(max(n, 2)))
     # lg(4 lgn^2 / delta) in the log domain: the quotient overflows a float
     # for subnormal delta.
     return 2 * math.ceil(2 + 2 * math.log2(lgn) - math.log2(delta))
@@ -60,22 +60,21 @@ def default_independence(n: int, delta: float) -> int:
 def checksum_modulus_bound(n: int, delta: float, big_c: float, p: int) -> int:
     """Modulus size needed for the subtraction guarantee at these params."""
     n, p = check_int(n, "n", 1), check_int(p, "p", 0, 1 << 64)
+    delta, big_c = check_real(delta, "delta", 0, 1), check_real(big_c, "big_c", 0)
     lg_inv = -math.log2(delta)
-    factor = max(lg_inv * max(math.log2(lg_inv) if lg_inv > 0 else 0.0, 0.0), 1.0)
+    factor = max(lg_inv * math.log2(lg_inv), 1.0)
     return math.ceil(2.0 * big_c * factor / delta * (n ** 3) * p)
 
 
 def default_checksum_modulus(n: int, delta: float, big_c: float, p: int) -> int:
     """Smallest prime q above p and at least `checksum_modulus_bound`;
     ValueError when it would pass 128 bits."""
-    return _default_checksum_modulus(check_int(n, "n", 1), delta, big_c,
-                                     check_int(p, "p", 0, 1 << 64))
+    return _checksum_prime(checksum_modulus_bound(n, delta, big_c, p), check_int(p, "p", 0, 1 << 64))
 
 
 @functools.lru_cache(maxsize=64)
-def _default_checksum_modulus(n: int, delta: float, big_c: float, p: int) -> int:
+def _checksum_prime(bound: int, p: int) -> int:
     # Cached on checked ints: finding a 128-bit prime takes many Miller-Rabin rounds.
-    bound = checksum_modulus_bound(n, delta, big_c, p)
     if bound.bit_length() > MAX_Q_BITS:
         raise ValueError(
             "guarantee bound for q exceeds 128 bits at these parameters; "
@@ -118,19 +117,14 @@ class Params:
     master_seed: int = 0
 
     def __post_init__(self):
-        # Integer fields become Python ints; k, p and q may be None until defaulted.
+        # Numbers become Python ints and floats; k, p and q may be None until defaulted.
         for name, low, high in (("n", 1, None), ("master_seed", 0, 1 << 64), ("k", None, None),
                                 ("p", 0, 1 << 64), ("q", 0, 1 << MAX_Q_BITS)):
             value = getattr(self, name)
             if value is not None or name in ("n", "master_seed"):
                 object.__setattr__(self, name, check_int(value, name, low, high))
-        if not (isinstance(self.delta, float) and math.isfinite(self.delta)
-                and 0.0 < self.delta < 1.0):
-            raise ValueError("delta must be a finite float in (0, 1)")
-        if not (self.big_c > 0 and math.isfinite(self.big_c)):
-            raise ValueError("big_c must be positive and finite")
-        if not (self.c0 > 0 and math.isfinite(self.c0)):
-            raise ValueError("c0 must be positive and finite")
+        for name, high in (("delta", 1), ("big_c", math.inf), ("c0", math.inf)):
+            object.__setattr__(self, name, check_real(getattr(self, name), name, 0, high))
         if self.mode not in ("plain", "checksum"):
             raise ValueError("mode must be 'plain' or 'checksum'")
         if self.k is None:
@@ -207,6 +201,7 @@ class LayoutPlan:
 
     def cell_bound(self, big_c: float) -> float:
         """Closed-form cap 2*C*n + C*tau*(lg tau + 1) on total cells."""
+        big_c = check_real(big_c, "big_c", 0)
         return 2.0 * big_c * self.capacity + big_c * self.tau * (_ilog2(self.tau) + 1)
 
 

@@ -283,6 +283,9 @@ def test_bad_count_is_a_usage_error(argv, tmp_path):
     # Seeds are not taken mod 2^64: -1 would repeat the trials of 2^64 - 1.
     (["unique-hash", "--seed", "-1", "--trials", "1"], "seed"),
     (["unique-hash", "--seed", str(2**64), "--trials", "1"], "seed"),
+    (["unique-hash", "--big-c", "inf"], "big_c"),
+    # The family is 2k-wise, and Params caps the independence at 4096.
+    (["unique-hash", "--k", "2049", "--trials", "1"], "k"),
 ])
 def test_bad_parameter_is_a_usage_error(argv, field, tmp_path, capsys):
     out = tmp_path / "out.csv"

@@ -812,27 +812,89 @@ def test_no_environment_variables_or_worker_pools():
 
 def test_only_the_integer_checks_decide_what_an_integer_is():
     # hashing.check_int and hashing.check_uint64 are the package's one
-    # integer check; no other code tests a dtype kind, numpy's bool or
-    # operator.index, so the sites cannot drift apart again.
-    checks = {"check_int", "check_uint64"}
+    # integer check, and hashing.check_real its one real check; no other
+    # code tests a dtype kind, numpy's bool, operator.index, math.isfinite
+    # or numbers.Real, so the sites cannot drift apart again.
+    integer, real = {"check_int", "check_uint64"}, {"check_real"}
 
-    def banned(node):
+    def owners(node):
+        """The checks that alone may hold `node`, or None if any code may."""
         if not isinstance(node, ast.Attribute):
-            return False
-        return ((node.attr == "index" and isinstance(node.value, ast.Name)
-                 and node.value.id == "operator")
+            return None
+        base = node.value.id if isinstance(node.value, ast.Name) else None
+        if (base, node.attr) in (("math", "isfinite"), ("numbers", "Real")):
+            return real
+        if ((base, node.attr) == ("operator", "index") or node.attr == "bool_"
                 or (node.attr == "kind" and isinstance(node.value, ast.Attribute)
-                    and node.value.attr == "dtype")
-                or node.attr == "bool_")
+                    and node.value.attr == "dtype")):
+            return integer
+        return None
 
     seen = set()
     for path in pathlib.Path(stacked_iblt.__file__).parent.glob("*.py"):
         tree = ast.parse(path.read_text())
-        allowed = {id(n) for f in ast.walk(tree)
-                   if isinstance(f, ast.FunctionDef) and f.name in checks
-                   for n in ast.walk(f)}
+        inside = {id(n): f.name for f in ast.walk(tree)
+                  if isinstance(f, ast.FunctionDef) and f.name in integer | real
+                  for n in ast.walk(f)}
         for node in ast.walk(tree):
-            if banned(node):
-                assert id(node) in allowed, f"{path.name}:{node.lineno}"
-                seen.add(path.name)
-    assert seen == {"hashing.py"}       # not vacuous: it finds the checks' dtype test
+            checks = owners(node)
+            if checks:
+                assert inside.get(id(node)) in checks, f"{path.name}:{node.lineno}"
+                seen.add((path.name, inside[id(node)] in real))
+    # Not vacuous: it finds the integer checks' dtype test and check_real's numbers.Real.
+    assert seen == {("hashing.py", False), ("hashing.py", True)}
+
+
+def ufunc_at_calls(source: str) -> list[tuple[int, str | None]]:
+    """(line, enclosing top-level function) of each `np.<ufunc>.at(...)` call."""
+    found = []
+    for top in ast.parse(source).body:
+        name = top.name if isinstance(top, ast.FunctionDef) else None
+        for node in ast.walk(top):
+            f = node.func if isinstance(node, ast.Call) else None
+            if (isinstance(f, ast.Attribute) and f.attr == "at"
+                    and isinstance(f.value, ast.Attribute)
+                    and isinstance(f.value.value, ast.Name) and f.value.value.id == "np"):
+                found.append((node.lineno, name))
+    return found
+
+
+def test_only_scatter_calls_a_ufunc_at():
+    # np.add.at writes through an array whose writeable flag is off, so the
+    # read-only check at the top of core.scatter is what keeps a sketch's
+    # table views read-only; a ufunc `.at` call anywhere else would bypass it.
+    for path in pathlib.Path(stacked_iblt.__file__).parent.glob("*.py"):
+        calls = ufunc_at_calls(path.read_text())
+        want = "scatter" if path.name == "core.py" else None
+        assert all(where == want for _, where in calls), (path.name, calls)
+        assert bool(calls) == (path.name == "core.py")
+    caught = "import numpy as np\nnp.add.at(a, i, v)\ndef f(a):\n    np.maximum.at(a, [0], 1)\n"
+    assert ufunc_at_calls(caught) == [(2, None), (4, "f")]
+
+
+def output_uses(source: str) -> list[int]:
+    """Lines of `source` that call print or touch sys.stdout or sys.stderr."""
+    lines = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+            hit = node.func.id == "print"
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            hit = node.value.id == "sys" and node.attr in ("stdout", "stderr")
+        elif isinstance(node, ast.ImportFrom):
+            hit = node.module == "sys" and any(a.name in ("stdout", "stderr")
+                                               for a in node.names)
+        else:
+            continue
+        if hit:
+            lines.add(node.lineno)
+    return sorted(lines)
+
+
+def test_the_library_never_prints():
+    # Only the experiment harness (cli.py) writes to the terminal; the
+    # library reports through return values and exceptions.
+    for path in pathlib.Path(stacked_iblt.__file__).parent.glob("*.py"):
+        uses = output_uses(path.read_text())
+        assert bool(uses) == (path.name == "cli.py"), (path.name, uses)
+    caught = "import sys\nprint('x')\nsys.stderr.write('y')\nfrom sys import stdout\n"
+    assert output_uses(caught) == [2, 3, 4]
