@@ -38,9 +38,9 @@ from .stacked import (DEFAULT_BIG_C, DEFAULT_C0, MAX_INDEPENDENCE, Params, Stack
 _TRIAL_STREAM = 0x10 << 56      # per-trial hash draws
 _SEED_STREAM = 0x11 << 56       # per-trial derived master seeds
 
-# unique-hash trials per row stack: the keys' powers are computed once per
-# chunk, and 256 trials of 512 keys make a 1 MB bucket matrix.
-_TRIAL_CHUNK = 256
+# unique-hash bucket-matrix entries per row stack, whatever n: the keys'
+# powers are computed once per chunk, and 2048 trials of 512 keys make 8 MB.
+_CHUNK_ENTRIES = 1 << 20
 
 
 def _parse_delta(text: str) -> float:
@@ -49,7 +49,10 @@ def _parse_delta(text: str) -> float:
     for sep in ("^", "**"):
         if sep in text:
             base, exp = text.split(sep, 1)
-            return float(base) ** float(exp)
+            try:
+                return float(base) ** float(exp)
+            except (OverflowError, ZeroDivisionError):  # past every float: check_real refuses it
+                return math.inf
     return float(text)
 
 
@@ -129,11 +132,12 @@ def cmd_unique_hash(args) -> int:
     gamma = math.ceil(big_c * n)
     keys = np.arange(n, dtype=np.uint64)
     bad = []
-    for start in range(0, trials, _TRIAL_CHUNK):
+    step = max(_CHUNK_ENTRIES // n, 1)
+    for start in range(0, trials, step):
         # Fresh 2k-wise family member per trial, a degree 2k-1 polynomial:
         # row i of the chunk's stack is KWiseHash(seed, 2k, gamma,
         # stream_id=_TRIAL_STREAM | trial).
-        chunk = range(start, min(trials, start + _TRIAL_CHUNK))
+        chunk = range(start, min(trials, start + step))
         stack = RowStack.from_streams(seed, 2 * k, [_TRIAL_STREAM | t for t in chunk],
                                       [gamma] * len(chunk))
         bad += _non_unique_count(stack.flat_cells(keys)).tolist()

@@ -67,8 +67,6 @@ def layout_digest(layout: LayoutPlan) -> int:
 
 def serialize(sketch: StackedSketch) -> bytes:
     """Deterministic byte encoding; header plus fixed-width cells."""
-    if not sketch._seeded:
-        raise ValueError("only sketches with seed-derived hashes serialize")
     p = sketch.params
     checksum_mode = p.mode == "checksum"
     header = _HEADER.pack(

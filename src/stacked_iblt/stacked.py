@@ -13,8 +13,7 @@ into one (R, k) matrix with its kernel limbs and per-row store offsets
 (table base + row * cols). One `flat_cells` call gives a batch's indices
 for every row of every table, and one `scatter` applies it. Only the
 sketch writes its cells: `tables` are read-only views, bounded by
-`LayoutPlan.spans`. `over_rows` injects a given stack instead, for tests
-that fix the hashing; such a sketch refuses `serialize` and `subtract`.
+`LayoutPlan.spans`.
 
 Decoding peels each table once, in order: `core.extract` returns table
 i's pure cells as arrays (with their power hashes in checksum mode), and
@@ -30,6 +29,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
@@ -63,7 +63,14 @@ def checksum_modulus_bound(n: int, delta: float, big_c: float, p: int) -> int:
     delta, big_c = check_real(delta, "delta", 0, 1), check_real(big_c, "big_c", 0)
     lg_inv = -math.log2(delta)
     factor = max(lg_inv * math.log2(lg_inv), 1.0)
-    return math.ceil(2.0 * big_c * factor / delta * (n ** 3) * p)
+    try:
+        bound = 2.0 * big_c * factor / delta * (n ** 3) * p
+    except OverflowError:           # n^3 past every float
+        bound = math.inf
+    if bound < math.inf:
+        return math.ceil(bound)
+    # Past a float's range, so far past MAX_Q_BITS: the same product, exactly.
+    return math.ceil(2 * Fraction(big_c) * Fraction(factor) / Fraction(delta) * n ** 3 * p)
 
 
 def default_checksum_modulus(n: int, delta: float, big_c: float, p: int) -> int:
@@ -248,39 +255,19 @@ class DecodeOutcome:
 class StackedSketch(Mutations):
     """Ordered stack of peelable tables driven by one master seed."""
 
-    __slots__ = ("params", "layout", "checksum", "item_balance", "_seeded", "_stack",
-                 "_cells")
+    __slots__ = ("params", "layout", "checksum", "item_balance", "_stack", "_cells")
 
     def __init__(self, params: Params):
-        self._build(params, plan_layout(params), None)
-
-    @classmethod
-    def over_rows(cls, params: Params, stack: RowStack) -> "StackedSketch":
-        """A sketch whose bucket rows are `stack` instead of seed-drawn ones.
-
-        The stack needs one row per table row of `plan_layout(params)`, in
-        order, each with its table's column count as bucket range; anything
-        else raises ValueError. The sketch refuses serialize and subtract.
-        """
-        layout = plan_layout(params)
-        if stack.gamma[:, 0].tolist() != [c for r, c in layout.tables for _ in range(r)]:
-            raise ValueError("row stack does not match the layout's rows and column counts")
-        out = cls.__new__(cls)
-        out._build(params, layout, stack)
-        return out
-
-    def _build(self, params: Params, layout: LayoutPlan, stack: RowStack | None) -> None:
-        # stack None draws the rows from the master seed, after the store is
+        # The rows are drawn from the master seed after the store is
         # allocated: the draw's freed temporaries then sit above the store,
         # not in holes below it whose reuse, and with it where glibc trims
         # the heap after a large op, varies from one process to the next.
+        layout = plan_layout(params)
         power = (PowerHash(params.master_seed, params.p, params.q)
                  if params.mode == "checksum" else None)
         self._cells = CellStore.zeros(layout.total_cells, power)
-        self._seeded = stack is None
-        if stack is None:
-            stack = RowStack.draw(params.master_seed, params.k, layout.tables)
-        self.params, self.layout, self.checksum, self._stack = params, layout, power, stack
+        self._stack = RowStack.draw(params.master_seed, params.k, layout.tables)
+        self.params, self.layout, self.checksum = params, layout, power
         self.item_balance = 0
 
     @property
@@ -307,8 +294,6 @@ class StackedSketch(Mutations):
             raise TypeError("expected a StackedSketch")
         if self.params != other.params:
             raise ValueError("sketch params differ; subtraction undefined")
-        if not (self._seeded and other._seeded):
-            raise ValueError("cannot subtract sketches built with injected hashes")
         return self._derive(self._cells.minus(other._cells),
                             self.item_balance - other.item_balance)
 
@@ -371,8 +356,7 @@ class StackedSketch(Mutations):
         # A sketch with these params and rows over the given store.
         out = StackedSketch.__new__(StackedSketch)
         out.params, out.layout, out.checksum = self.params, self.layout, self.checksum
-        out._seeded, out._stack = self._seeded, self._stack
-        out._cells, out.item_balance = cells, item_balance
+        out._stack, out._cells, out.item_balance = self._stack, cells, item_balance
         return out
 
     def __eq__(self, other) -> bool:

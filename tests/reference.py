@@ -5,11 +5,13 @@ dict/loop bookkeeping (no shared code with the production decoder beyond
 reading table state), and `LookupHash` provides fully random hashing via a
 pre-drawn table, the idealized family the analysis assumes. A sketch
 hashes with polynomial rows only, so `lookup_stack` turns LookupHash maps
-into the polynomials that pass through them; the oracle evaluates the maps
-themselves.
+into the polynomials that pass through them, and `lookup_sketch` builds a
+sketch that hashes with those rows in place of its seed-drawn ones; the
+oracle evaluates the maps themselves.
 """
 
 from stacked_iblt.hashing import MERSENNE61, RowStack
+from stacked_iblt.stacked import StackedSketch
 
 U64 = 1 << 64
 
@@ -51,6 +53,18 @@ def lookup_stack(tables, k):
     table, on every mapped key."""
     rows = [h for table in tables for h in table]
     return RowStack([interpolate(h.mapping, k) for h in rows], [h.gamma for h in rows])
+
+
+def lookup_sketch(params, hashes):
+    """A `StackedSketch(params)` whose bucket rows are `lookup_stack(hashes,
+    params.k)`. hashes[t][r] is the row of table t, row r, with its table's
+    column count as gamma; anything else raises ValueError."""
+    sketch = StackedSketch(params)
+    if [h.gamma for table in hashes for h in table] != [
+            c for r, c in sketch.layout.tables for _ in range(r)]:
+        raise ValueError("hashes do not match the layout's rows and column counts")
+    sketch._stack = lookup_stack(hashes, params.k)
+    return sketch
 
 
 def _grids_of(sketch):

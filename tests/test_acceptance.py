@@ -6,7 +6,6 @@ stated statistical slack and nothing more.
 """
 
 import math
-import os
 import time
 
 import numpy as np
@@ -19,7 +18,7 @@ from stacked_iblt.reconcile import deserialize, serialize
 from stacked_iblt.stacked import (DEFAULT_BIG_C, Params, StackedSketch,
                                   plan_layout)
 
-from reference import LookupHash, lookup_stack, reference_list_entries
+from reference import LookupHash, lookup_sketch, reference_list_entries
 
 
 def report(name, ok, detail):
@@ -27,17 +26,9 @@ def report(name, ok, detail):
     assert ok, f"{name}: {detail}"
 
 
-def run_command(argv, tmp_path, name, threads):
+def run_command(argv, tmp_path, name):
     out = tmp_path / name
-    before = os.environ.get("IBLT_THREADS")
-    os.environ["IBLT_THREADS"] = str(threads)
-    try:
-        code = main(argv + ["--out", str(out)])
-    finally:
-        if before is None:
-            os.environ.pop("IBLT_THREADS", None)
-        else:
-            os.environ["IBLT_THREADS"] = before
+    code = main(argv + ["--out", str(out)])
     return code, out.read_bytes()
 
 
@@ -45,7 +36,7 @@ def test_c1_listing_failure_rate(tmp_path):
     t0 = time.time()
     code, blob = run_command(
         ["decode-failure", "--n", "256", "--delta", "2^-8",
-         "--trials", "2000", "--seed", "1"], tmp_path, "c1.csv", threads=1)
+         "--trials", "2000", "--seed", "1"], tmp_path, "c1.csv")
     elapsed = time.time() - t0
     rows = blob.decode().splitlines()[2:]
     failures = sum(r.endswith(",0") for r in rows)
@@ -58,7 +49,7 @@ def test_c2_unique_hashing_monte_carlo(tmp_path):
     t0 = time.time()
     code, blob = run_command(
         ["unique-hash", "--n", "512", "--k", "16", "--trials", "10000",
-         "--seed", "1"], tmp_path, "c2.csv", threads=1)
+         "--seed", "1"], tmp_path, "c2.csv")
     elapsed = time.time() - t0
     rows = blob.decode().splitlines()[2:]
     failures = sum(int(r.split(",")[2]) for r in rows)
@@ -194,7 +185,7 @@ def test_c6_oracle_equivalence():
                  for _ in range(rows)] for rows, cols in lay.tables]
         hashes = [[LookupHash(m, cols) for m in table]
                   for table, (_, cols) in zip(maps, lay.tables)]
-        sketch = StackedSketch.over_rows(params, lookup_stack(hashes, params.k))
+        sketch = lookup_sketch(params, hashes)
         sketch.insert(pairs)
         got = sketch.list_entries()
         want = reference_list_entries(sketch, hashes)
@@ -277,11 +268,11 @@ def test_c9_determinism(tmp_path):
                 ["unique-hash", "--n", "128", "--k", "8", "--trials", "128",
                  "--seed", "7"]):
         blobs = set()
-        for run, threads in ((0, 1), (1, 1), (2, 8)):
-            _, blob = run_command(cmd, tmp_path, f"c9-{cmd[0]}-{run}.csv", threads)
+        for run in range(3):
+            _, blob = run_command(cmd, tmp_path, f"c9-{cmd[0]}-{run}.csv")
             blobs.add(blob)
         csv_ok = csv_ok and len(blobs) == 1
     ok = sketch_ok and decode_ok and csv_ok
     report("C9 determinism",
            ok, f"sketches bit-identical={sketch_ok}, decodes identical={decode_ok}, "
-               f"CSV stable across runs and threads 1/8={csv_ok}")
+               f"CSV stable across runs={csv_ok}")

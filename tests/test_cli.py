@@ -1,6 +1,6 @@
 import argparse
 import math
-import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,19 +12,9 @@ from stacked_iblt.hashing import KWiseHash
 from stacked_iblt.stacked import Params, plan_layout
 
 
-def run_cli(argv, tmp_path, name="out.csv", threads=None):
+def run_cli(argv, tmp_path, name="out.csv"):
     out = tmp_path / name
-    env_before = os.environ.get("IBLT_THREADS")
-    if threads is not None:
-        os.environ["IBLT_THREADS"] = str(threads)
-    try:
-        code = main(argv + ["--out", str(out)])
-    finally:
-        if threads is not None:
-            if env_before is None:
-                os.environ.pop("IBLT_THREADS", None)
-            else:
-                os.environ["IBLT_THREADS"] = env_before
+    code = main(argv + ["--out", str(out)])
     return code, out.read_bytes()
 
 
@@ -200,17 +190,34 @@ def test_reconcile_demo_wire_size_ignores_set_size(tmp_path):
 
 def test_csv_byte_stable_across_runs_and_threads(tmp_path):
     outputs = []
-    for run, threads in ((0, 1), (1, 1), (2, 8)):
+    for run in range(3):
         for cmd in (["unique-hash", "--n", "64", "--k", "6", "--trials", "32"],
                     ["decode-failure", "--n", "32", "--delta", "2^-6", "--trials", "24"],
                     ["lemma3"]):
             _, blob = run_cli(cmd + ["--seed", "4"], tmp_path,
-                              name=f"r{run}-{cmd[0]}.csv", threads=threads)
+                              name=f"r{run}-{cmd[0]}.csv")
             outputs.append((cmd[0], blob))
     per_cmd = {}
     for name, blob in outputs:
         per_cmd.setdefault(name, set()).add(blob)
     assert all(len(v) == 1 for v in per_cmd.values())
+
+
+def test_unique_hash_memory_is_bounded_in_n(tmp_path):
+    # Trials go in chunks of at most cli._CHUNK_ENTRIES bucket entries, so
+    # the peak stays flat as n grows 16-fold; 256 trials fill a chunk at
+    # the smaller n too.
+    peaks = []
+    for n in (4096, 65536):
+        tracemalloc.start()
+        try:
+            code, _ = run_cli(["unique-hash", "--n", str(n), "--k", "1", "--trials", "256"],
+                              tmp_path, name=f"u{n}.csv")
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+    assert peaks[1] <= 2 * peaks[0], peaks
 
 
 def test_count_slack_formula():
@@ -286,6 +293,12 @@ def test_bad_count_is_a_usage_error(argv, tmp_path):
     (["unique-hash", "--big-c", "inf"], "big_c"),
     # The family is 2k-wise, and Params caps the independence at 4096.
     (["unique-hash", "--k", "2049", "--trials", "1"], "k"),
+    # Powers past every float, and a checksum bound past every float.
+    (["decode-failure", "--n", "16", "--delta", "2^2000", "--trials", "1"], "delta"),
+    (["decode-failure", "--n", "16", "--delta", "10^400", "--trials", "1"], "delta"),
+    (["decode-failure", "--n", "16", "--delta", "0^-1", "--trials", "1"], "delta"),
+    (["decode-failure", "--mode", "checksum", "--n", "16", "--delta", "5e-324",
+      "--trials", "1"], "q"),
 ])
 def test_bad_parameter_is_a_usage_error(argv, field, tmp_path, capsys):
     out = tmp_path / "out.csv"

@@ -3,6 +3,8 @@ import collections
 import inspect
 import math
 import pathlib
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -16,7 +18,7 @@ from stacked_iblt.stacked import (DEFAULT_BIG_C, MAX_INDEPENDENCE, DecodeOutcome
                                   Params, StackedSketch, default_independence,
                                   plan_layout)
 
-from reference import LookupHash, lookup_stack, reference_list_entries
+from reference import LookupHash, lookup_sketch, lookup_stack, reference_list_entries
 
 
 def layout_oracle(n, delta, big_c, c0):
@@ -138,6 +140,17 @@ def test_checksum_defaults():
         Params(n=64, delta=2.0**-6, mode="checksum", p=101, q=101)
     with pytest.raises(ValueError):
         Params(n=2**20, delta=2.0**-64, mode="checksum")  # bound beyond 128 bits
+
+
+@pytest.mark.parametrize("n, delta", [(16, 5e-324), (10**103, 0.5)], ids=["tiny-delta", "huge-n"])
+def test_checksum_bound_past_every_float(n, delta):
+    # 1/delta or n^3 overflows a float: the bound is far past 128 bits, so
+    # the default q is refused and an explicit q misses the guarantee.
+    with pytest.raises(ValueError, match="exceeds 128 bits"):
+        Params(n=n, delta=delta, mode="checksum")
+    explicit = Params(n=n, delta=delta, mode="checksum", q=(1 << 127) - 1)
+    assert explicit.checksum_bound.bit_length() > 1024
+    assert not explicit.meets_guarantee
 
 
 def test_guarantee_flag_tracks_overrides():
@@ -694,7 +707,7 @@ def test_reference_decoder_agrees_on_adversarial_layouts():
                      for _ in range(rows)] for rows, cols in lay.tables]
         hashes = [[LookupHash(m, cols) for m in table]
                   for table, (_, cols) in zip(mappings, lay.tables)]
-        s = StackedSketch.over_rows(params, lookup_stack(hashes, params.k))
+        s = lookup_sketch(params, hashes)
         s.insert(pairs)
         got = s.list_entries()
         want = reference_list_entries(s, hashes)
@@ -727,30 +740,60 @@ def test_lookup_stack_reproduces_maps():
             assert got[r].tolist() == [h.mapping[k] for k in keys]
 
 
-def test_over_rows_refuses_serialize_and_subtract():
+def test_lookup_sketch_rejects_rows_off_layout():
     params = Params(n=4, delta=0.25, master_seed=2)
     hashes = fixed_rows(params)
-    s = StackedSketch.over_rows(params, lookup_stack(hashes, params.k))
+    s = lookup_sketch(params, hashes)
     s.insert([(3, 30), (5, 50)])
     assert s.list_entries().recovered_plus == {(3, 30), (5, 50)}
-    with pytest.raises(ValueError, match="seed-derived"):
-        serialize(s)
-    with pytest.raises(ValueError, match="injected"):
-        s.subtract(StackedSketch(params))
-    with pytest.raises(ValueError, match="injected"):
-        StackedSketch(params).subtract(s)
-    with pytest.raises(ValueError, match="injected"):
-        s.subtract(s.copy())
-
-
-def test_over_rows_rejects_stack_off_layout():
-    params = Params(n=4, delta=0.25, master_seed=2)
-    hashes = fixed_rows(params)
-    with pytest.raises(ValueError, match="does not match the layout"):
-        StackedSketch.over_rows(params, lookup_stack(hashes[:-1], params.k))
+    with pytest.raises(ValueError, match="do not match the layout"):
+        lookup_sketch(params, hashes[:-1])
     hashes[0] = [LookupHash(h.mapping, h.gamma + 1) for h in hashes[0]]
-    with pytest.raises(ValueError, match="does not match the layout"):
-        StackedSketch.over_rows(params, lookup_stack(hashes, params.k))
+    with pytest.raises(ValueError, match="do not match the layout"):
+        lookup_sketch(params, hashes)
+
+
+def test_two_threads_match_serial():
+    # Two threads at once, each on sketches of its own, under a short switch
+    # interval: a checksum insert hashes with eval_poly_rows, list_entries
+    # and serialize reduce lanes with core.reduce_lanes, both from the
+    # calling thread's scratch area. Each result must be the serial run's.
+    cases = [Params(n=n, delta=2.0**-6, mode="checksum", master_seed=n) for n in (64, 200)]
+
+    def run(params):
+        rng = np.random.default_rng(params.n)
+        keys = rng.choice(2**55, size=params.n, replace=False).astype(np.uint64)
+        s = StackedSketch(params)
+        s.insert_arrays(keys, rng.integers(0, 2**64, size=keys.size, dtype=np.uint64))
+        s.delete_pairs([(int(keys[0]) + 1, 7)])
+        out = s.list_entries()
+        return serialize(s), (out.recovered_plus, out.recovered_minus, out.complete,
+                              out.inconsistent, out.stage_recoveries)
+
+    serial = [run(params) for params in cases]
+    assert all(outcome[2] and not outcome[3] for _, outcome in serial)
+    start = threading.Barrier(2)
+    bad = []
+
+    def work(i):
+        start.wait(timeout=60)
+        for rep in range(6):
+            j = (i + rep) % len(cases)
+            if run(cases[j]) != serial[j]:
+                bad.append((i, rep))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        workers = [threading.Thread(target=work, args=(i,)) for i in range(2)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(w.is_alive() for w in workers)
+    assert bad == []
 
 
 def test_public_surface():
@@ -765,6 +808,13 @@ def test_public_surface():
         "serialize", "sketch_of",
     ]
     assert list(inspect.signature(StackedSketch).parameters) == ["params"]
+    # A sketch is built one way, from its params, and keeps no state beyond
+    # what every sketch has: rows injected for tests go through the tests' own
+    # `lookup_sketch`, not a second constructor or a flag in the sketch.
+    assert not [name for name, v in vars(StackedSketch).items()
+                if isinstance(v, (classmethod, staticmethod))]
+    assert StackedSketch.__slots__ == ("params", "layout", "checksum", "item_balance",
+                                       "_stack", "_cells")
 
 
 def test_only_hashing_imports_the_kernel_operands():
@@ -804,6 +854,10 @@ def test_no_environment_variables_or_worker_pools():
     # environment variable or runs work in a pool. (hashing's per-thread
     # scratch stays: callers may hash from threads of their own.)
     for path in pathlib.Path(stacked_iblt.__file__).parent.glob("*.py"):
+        assert environment_or_pool_uses(path.read_text()) == [], path.name
+    # Nor do the tests read or set one: the package reads none, so a test
+    # dimension made of one would check nothing.
+    for path in pathlib.Path(__file__).parent.glob("*.py"):
         assert environment_or_pool_uses(path.read_text()) == [], path.name
     caught = ("import os\nos.environ.get('X')\nfrom os import getenv\n"
               "from concurrent.futures import ThreadPoolExecutor\nimport multiprocessing.pool\n")
