@@ -329,11 +329,15 @@ def scatter(cells: CellStore, checksum: PowerHash | None, flat, keys, values, we
     LANE_BUDGET keys, each first counted by `CellStore.reserve`.
     A read-only store raises ValueError: `np.add.at` would write through
     it, flag or not, so this check is what keeps a segment read-only.
+    `np.add.at` takes its indices as intp and would convert uint64 ones
+    once per field; they are passed as a zero-copy int64 view instead,
+    which reads every index exactly: each is below the store's size,
+    so below 2^63.
     """
     if not cells.count.flags.writeable:
         raise ValueError("read-only cells: a sketch's tables are views; update the sketch")
     rows = flat.shape[0]
-    idx = flat.reshape(-1)
+    idx = flat.reshape(-1).view(np.int64)
     sign = weights.view(np.uint64)      # 1 or 2^64-1: a wrapping product negates
     np.add.at(cells.key_sum, idx, np.tile(keys * sign, rows))
     np.add.at(cells.value_sum, idx, np.tile(values * sign, rows))
@@ -347,7 +351,7 @@ def scatter(cells: CellStore, checksum: PowerHash | None, flat, keys, values, we
     for start in range(0, keys.size, step):
         block = flat[:, start:start + step]
         cells.reserve(block.shape[1])
-        block = block.reshape(-1)
+        block = block.reshape(-1).view(np.int64)
         # One lane's tile at a time: all four at once would be the largest
         # temporary of a checksum op.
         for lane, add in zip(cells.hash_sum, signed[:, start:start + step]):

@@ -29,10 +29,13 @@ heap's layout as it was. Only the pages a thread has used are resident:
 request (256 rows at k = 32 take 3.2 MB, k = 4096 about 24 MB) gets a
 fresh array per call instead, so no thread keeps more than 1 MiB. Being
 private, the mapping is copied on write into a forked child, not shared
-with it. Every array a caller receives is a fresh allocation.
+with it. Every array a block kernel returns (`eval_poly_rows`, and so
+`RowStack.flat_cells` and `KWiseHash.eval_batch`; `core.reduce_lanes`
+without `out`) is a fresh allocation. A stack's own arrays are not: they
+are read-only, and one stack serves every sketch of a Params.
 
 The checksum family maps a key x to a^x mod q for a base a drawn once per
-sketch; it is what lets a table distinguish a cell holding one genuine
+Params (every sketch of a Params shares its `PowerHash`); it is what lets a table distinguish a cell holding one genuine
 pair from a cell whose count merely sums to +-1. The base is fixed and
 keys lie below p < 2^64, so a batch is evaluated by fixed-base windowing
 (Brickell, Gordon, McCurley & Wilson, "Fast Exponentiation with

@@ -7,13 +7,16 @@ then groups of 2^i rows with ceil(C*tau*2^-i) columns.
 
 Store: the cells of all tables live in one flat `CellStore`, table after
 table, each row-major. Hashing is stacked the same way: the bucket
-polynomials of all R rows are one `RowStack`, drawn at construction from
-the master seed (row r of table t from stream `bucket_stream_id(t, r)`)
-into one (R, k) matrix with its kernel limbs and per-row store offsets
-(table base + row * cols). One `flat_cells` call gives a batch's indices
-for every row of every table, and one `scatter` applies it. Only the
-sketch writes its cells: `tables` are read-only views, bounded by
-`LayoutPlan.spans`.
+polynomials of all R rows are one `RowStack`, drawn from the master seed
+(row r of table t from stream `bucket_stream_id(t, r)`) into one (R, k)
+matrix with its kernel limbs and per-row store offsets (table base + row
+* cols). The rows, like the checksum hash, are fixed by Params, so they
+are drawn once per Params and shared, read-only, by every sketch built
+with it (`_row_stack`, `_checksum_hash`): a reconciliation session's
+envelopes all rebuild one sketch shape. One `flat_cells` call gives a
+batch's indices for every row of every table, and one `scatter` applies
+it. Only the sketch writes its cells: `tables` are read-only views,
+bounded by `LayoutPlan.spans`.
 
 Decoding peels each table once, in order: `core.extract` returns table
 i's pure cells as arrays (with their power hashes in checksum mode), and
@@ -90,6 +93,29 @@ def _checksum_prime(bound: int, p: int) -> int:
     if q.bit_length() > MAX_Q_BITS:
         raise ValueError("no 128-bit prime at or above the q bound; pass an explicit q")
     return q
+
+
+# One Params serves a whole reconciliation session, so the row stack and
+# checksum hash caches keep only 4 entries each; a run of fresh seeds (one
+# per trial) misses every time and keeps no more than that.
+@functools.lru_cache(maxsize=4)
+def _row_stack(seed: int, k: int, dims: tuple) -> RowStack:
+    """`RowStack.draw(seed, k, dims)`, drawn once and shared by every sketch
+    with these rows.
+
+    A stack is immutable and its arrays are read-only, so sharing it is
+    safe. The cache holds at most 4 stacks, so it retains at most 4 times
+    the largest stack drawn: one stack's limb form alone is 20 MB at
+    n = 256, delta = 2^-128 (1,022 rows at k = 272), and about 200 KB at
+    n = 4096, delta = 2^-10.
+    """
+    return RowStack.draw(seed, k, dims)
+
+
+@functools.lru_cache(maxsize=4)
+def _checksum_hash(seed: int, p: int, q: int) -> PowerHash:
+    """`PowerHash(seed, p, q)`, its base drawn once and shared like `_row_stack`."""
+    return PowerHash(seed, p, q)
 
 
 def _pow2_at_least(x: int) -> int:
@@ -258,15 +284,16 @@ class StackedSketch(Mutations):
     __slots__ = ("params", "layout", "checksum", "item_balance", "_stack", "_cells")
 
     def __init__(self, params: Params):
-        # The rows are drawn from the master seed after the store is
-        # allocated: the draw's freed temporaries then sit above the store,
-        # not in holes below it whose reuse, and with it where glibc trims
-        # the heap after a large op, varies from one process to the next.
+        # Rows and checksum hash come from the per-Params caches. On a miss
+        # the rows are drawn after the store is allocated: the draw's freed
+        # temporaries then sit above the store, not in holes below it whose
+        # reuse, and with it where glibc trims the heap after a large op,
+        # varies from one process to the next.
         layout = plan_layout(params)
-        power = (PowerHash(params.master_seed, params.p, params.q)
+        power = (_checksum_hash(params.master_seed, params.p, params.q)
                  if params.mode == "checksum" else None)
         self._cells = CellStore.zeros(layout.total_cells, power)
-        self._stack = RowStack.draw(params.master_seed, params.k, layout.tables)
+        self._stack = _row_stack(params.master_seed, params.k, layout.tables)
         self.params, self.layout, self.checksum = params, layout, power
         self.item_balance = 0
 

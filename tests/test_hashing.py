@@ -9,7 +9,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stacked_iblt import hashing
+from stacked_iblt import hashing, stacked
 from stacked_iblt.cli import _SEED_STREAM, bad_base_count, is_identity_multiset
 from stacked_iblt.hashing import (MERSENNE61, KWiseHash, PowerHash,
                                   RowStack, SeededStream, _field_rows,
@@ -464,6 +464,9 @@ def test_no_numpy_bit_generator_or_os_entropy(monkeypatch):
 
     monkeypatch.setattr(hashing.np.random, "Philox", refuse)
     monkeypatch.setattr(os, "urandom", refuse)
+    # The sketches draw their rows and bases again, under the patch.
+    stacked._row_stack.cache_clear()
+    stacked._checksum_hash.cache_clear()
     assert outputs() == want
     assert want[-1] is True
 

@@ -3,6 +3,7 @@ the update budget that keeps lanes exact, and non-canonical lanes through
 the envelope and subtraction."""
 
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -197,6 +198,46 @@ def test_difference_past_the_budget_is_reduced(monkeypatch):
     a._cells.budget.updates = 40          # as if 39 more updates had landed
     d = a.subtract(a.copy())
     assert d._cells.budget.updates == 1 and d.is_zero()
+
+
+class RecordingNumpy:
+    """numpy as `core` sees it, but `np.add.at`, core's only use of np.add,
+    first records the dtype of the indices it is given."""
+
+    def __init__(self, seen):
+        self.add = types.SimpleNamespace(
+            at=lambda a, indices, b: seen.append(indices.dtype) or np.add.at(a, indices, b))
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+
+def scatter_index_dtypes(monkeypatch, mode):
+    """The index dtype of every np.add.at call of a build and a decode."""
+    seen = []
+    monkeypatch.setattr(core, "np", RecordingNumpy(seen))
+    s = StackedSketch(Params(n=32, delta=2.0**-6, mode=mode, master_seed=11))
+    for kind, keys, vals in batches():
+        if kind == "insert":
+            s.insert_arrays(keys, vals)
+        else:
+            s.delete_pairs(zip(keys.tolist(), vals.tolist()))
+    s.list_entries(in_place=True)
+    return seen
+
+
+def test_scatter_passes_native_indices(monkeypatch):
+    # np.add.at converts any other index dtype to intp, once per call; the
+    # scatter hands it an intp view instead, in both modes and per block of
+    # the lane budget (at 64, the 300-key batch goes in blocks of 63, with
+    # four lane calls each).
+    intp = np.dtype(np.intp)
+    assert set(scatter_index_dtypes(monkeypatch, "plain")) == {intp}
+    whole = scatter_index_dtypes(monkeypatch, "checksum")
+    assert set(whole) == {intp}
+    monkeypatch.setattr(core, "LANE_BUDGET", 64)
+    blocks = scatter_index_dtypes(monkeypatch, "checksum")
+    assert set(blocks) == {intp} and len(blocks) >= len(whole) + 4 * (300 // 63 - 1)
 
 
 # -- non-canonical lanes through the envelope and subtraction ---------------------

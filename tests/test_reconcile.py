@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stacked_iblt import hashing
+from stacked_iblt import hashing, stacked
 from stacked_iblt.hashing import next_prime_at_least
 from stacked_iblt.reconcile import (_HEADER, EnvelopeError, deserialize, layout_digest,
                                     reconcile_local, serialize, sketch_of)
@@ -186,12 +186,43 @@ _FUZZ_FIELDS = dict(zip(_HEADER_FIELDS, (
 def test_header_fuzz_raises_only_envelope_error(fields, payload):
     # Any subset of a checksum envelope's header fields, each replaced by
     # any value of its struct width, so examples also reach later checks.
+    # A rejected envelope never builds a sketch, so it neither reads nor
+    # fills the row and checksum caches.
     blob = with_header(serialize(StackedSketch(CHECK)), **fields)
+    caches = cache_infos()
     try:
         sketch = deserialize(blob[:_HEADER.size] + payload)
     except EnvelopeError:
+        assert cache_infos() == caches
         return
     assert isinstance(sketch, StackedSketch)
+
+
+def cache_infos():
+    return stacked._row_stack.cache_info(), stacked._checksum_hash.cache_info()
+
+
+def test_one_envelope_twice_draws_its_rows_once(monkeypatch):
+    # Every sketch of one Params shares its rows and checksum hash: the
+    # second envelope of a session draws nothing.
+    blob = serialize(filled(CHECK)[0])
+    stacked._row_stack.cache_clear()
+    stacked._checksum_hash.cache_clear()
+    draws = []
+    real = hashing._philox_blocks
+    monkeypatch.setattr(hashing, "_philox_blocks", lambda *a: draws.append(a) or real(*a))
+    a = deserialize(blob)
+    assert len(draws) == 2                  # the rows and the checksum base
+    b = deserialize(blob)
+    assert len(draws) == 2
+    assert a._stack is b._stack and a.checksum is b.checksum
+    for arr in (a._stack.coefficients, a._stack.gamma, a._stack.offsets, *a._stack.limbs):
+        with pytest.raises(ValueError):
+            arr[(0,) * arr.ndim] = 1
+    # Shared rows, separate cells: a write through one leaves the other alone.
+    a.insert([(5, 6)])
+    assert serialize(b) == blob and serialize(a) != blob
+    assert a.list_entries().recovered_plus == b.list_entries().recovered_plus | {(5, 6)}
 
 
 def test_one_primality_proof_per_pair(monkeypatch):

@@ -757,7 +757,9 @@ def test_two_threads_match_serial():
     # Two threads at once, each on sketches of its own, under a short switch
     # interval: a checksum insert hashes with eval_poly_rows, list_entries
     # and serialize reduce lanes with core.reduce_lanes, both from the
-    # calling thread's scratch area. Each result must be the serial run's.
+    # calling thread's scratch area. Both threads build sketches of the same
+    # two Params, from caches emptied first, so they draw and share their
+    # rows and checksum hashes at once. Each result must be the serial run's.
     cases = [Params(n=n, delta=2.0**-6, mode="checksum", master_seed=n) for n in (64, 200)]
 
     def run(params):
@@ -772,6 +774,8 @@ def test_two_threads_match_serial():
 
     serial = [run(params) for params in cases]
     assert all(outcome[2] and not outcome[3] for _, outcome in serial)
+    stacked._row_stack.cache_clear()
+    stacked._checksum_hash.cache_clear()
     start = threading.Barrier(2)
     bad = []
 
@@ -815,6 +819,59 @@ def test_public_surface():
                 if isinstance(v, (classmethod, staticmethod))]
     assert StackedSketch.__slots__ == ("params", "layout", "checksum", "item_balance",
                                        "_stack", "_cells")
+
+
+def test_hash_caches_stay_bounded():
+    # A fresh seed per trial misses every time; each cache keeps at most
+    # its maxsize entries however many Params pass through it.
+    caches = (stacked._row_stack, stacked._checksum_hash)
+    size = caches[0].cache_info().maxsize
+    for seed in range(size + 3):
+        StackedSketch(Params(n=16, delta=2.0**-4, mode="checksum", master_seed=1000 + seed))
+        assert all(c.cache_info().currsize <= size for c in caches)
+    assert [c.cache_info().currsize for c in caches] == [size, size]
+
+
+def unbounded_caches(source: str) -> list[int]:
+    """Lines of `source` with a functools cache other than `functools.lru_cache(maxsize=<int>)`."""
+    tree = ast.parse(source)
+    modules = {a.asname or a.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+               for a in node.names if a.name == "functools"}
+    bounded = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            size = [k.value for k in node.keywords if k.arg == "maxsize"] or node.args[:1]
+            if size and isinstance(size[0], ast.Constant) and type(size[0].value) is int:
+                bounded.add(id(node.func))
+    lines = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            hit = any(a.name in ("cache", "lru_cache") for a in node.names)
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                and node.value.id in modules:
+            hit = node.attr == "cache" or (node.attr == "lru_cache" and id(node) not in bounded)
+        else:
+            continue
+        if hit:
+            lines.add(node.lineno)
+    return sorted(lines)
+
+
+def test_every_cache_is_bounded():
+    # Aim 3 keeps memory bounded: a cache in the package holds a fixed
+    # number of entries, so functools.cache and maxsize=None stay out.
+    found = 0
+    for path in pathlib.Path(stacked_iblt.__file__).parent.glob("*.py"):
+        source = path.read_text()
+        assert unbounded_caches(source) == [], path.name
+        found += source.count("functools.lru_cache(maxsize=")
+    assert found >= 6                       # not vacuous
+    caught = ("import functools\nfrom functools import lru_cache\n@functools.cache\n"
+              "def a(): pass\n@functools.lru_cache\ndef b(): pass\n"
+              "@functools.lru_cache(maxsize=None)\ndef c(): pass\n"
+              "@functools.lru_cache(maxsize=8)\ndef d(): pass\n"
+              "import functools as f\n@f.lru_cache(16)\ndef e(): pass\nf.cache(len)\n")
+    assert unbounded_caches(caught) == [2, 3, 5, 7, 14]
 
 
 def test_only_hashing_imports_the_kernel_operands():
