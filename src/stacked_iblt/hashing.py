@@ -12,27 +12,31 @@ so it computes the powers x^j mod 2^61-1 once per key and turns
 sum_j c[r, j] * x^j into a matrix product: coefficients and powers are
 split into 21-bit limbs, which keeps one float64 GEMM exact, and its
 three limb-shift classes are folded back mod 2^61-1 in uint64. Per block
-of 256 keys that is ceil(log2(k)) - 1 vectorized multiply-mods for the
+of keys that is ceil(log2(k)) - 1 vectorized multiply-mods for the
 powers (6 at k = 40, over k - 2 rows in all) and one GEMM. Values stay
 below 2^61 + 8, congruent but not reduced, until one canonical step
 before the reduction mod each row's bucket range.
 
 The block kernels (`eval_poly_rows` here, `core.reduce_lanes`) take their
 temporaries from one scratch area per thread (`thread_scratch`): a
-private anonymous mapping of 1 MiB, not heap memory, made at the
+private anonymous mapping of 4 MiB, not heap memory, made at the
 thread's first request and kept while the thread lives. Buffers of this
 size freed at the end of every call lie above glibc's mmap threshold, so
 each call would page-fault them in afresh; kept, a small sketch's
 evaluation takes no page fault at all, and the mapping leaves the malloc
-heap's layout as it was. Only the pages a thread has used are resident:
-483 KB for 34 rows at k = 32, 930 KB for 69 rows at k = 40. A larger
-request (256 rows at k = 32 take 3.2 MB, k = 4096 about 24 MB) gets a
-fresh array per call instead, so no thread keeps more than 1 MiB. Being
-private, the mapping is copied on write into a forked child, not shared
-with it. Every array a block kernel returns (`eval_poly_rows`, and so
-`RowStack.flat_cells` and `KWiseHash.eval_batch`; `core.reduce_lanes`
-without `out`) is a fresh allocation. A stack's own arrays are not: they
-are read-only, and one stack serves every sketch of a Params.
+heap's layout as it was. `eval_poly_rows` sizes its key blocks to fill
+the area (`_block_keys`): fewer, wider blocks pay each block's ufunc
+calls fewer times. Only the pages a thread has used are resident: a
+batch of at most 256 keys uses 483 KB for 34 rows at k = 32 and 930 KB
+for 69 rows at k = 40, and a larger batch up to the whole area. A shape
+whose 256-key block does not fit (1,022 rows at k = 272 take 13.1 MB,
+k = 4096 about 24 MB) gets a fresh array per call instead, so no thread
+keeps more than 4 MiB. Being private, the mapping is copied on write
+into a forked child, not shared with it. Every array a block kernel
+returns (`eval_poly_rows`, and so `RowStack.flat_cells` and
+`KWiseHash.eval_batch`; `core.reduce_lanes` without `out`) is a fresh
+allocation. A stack's own arrays are not: they are read-only, and one
+stack serves every sketch of a Params.
 
 The checksum family maps a key x to a^x mod q for a base a drawn once per
 Params (every sketch of a Params shares its `PowerHash`); it is what lets a table distinguish a cell holding one genuine
@@ -41,8 +45,8 @@ keys lie below p < 2^64, so a batch is evaluated by fixed-base windowing
 (Brickell, Gordon, McCurley & Wilson, "Fast Exponentiation with
 Precomputation"; Lim & Lee, "More Flexible Exponentiation with
 Precomputation"): a table of a^(d*2^(8j)) mod q, built once per (a, q)
-and cached, turns each a^x into one lookup per 8-bit window of x and a
-multiply-mod between them.
+and cached, turns each a^x into one lookup per 8-bit window of x, the
+lookups multiplied together and reduced mod q once.
 
 Every seeded draw (polynomial coefficients, the checksum base, the
 Miller-Rabin witnesses of a wide prime, the CLI's per-trial seeds, all
@@ -77,9 +81,9 @@ import numpy as np
 
 MERSENNE61 = (1 << 61) - 1
 
-# Keys per kernel block: a block's (rows, BLOCK_KEYS) and (k, BLOCK_KEYS)
-# temporaries stay cache-sized for a whole sketch's rows and small enough
-# for the allocator to recycle, whatever the batch size.
+# The fewest keys per kernel block (`_block_keys`): a shape whose blocks of
+# this many keys do not fit the thread's scratch area still hashes them in
+# blocks this wide, from a fresh array per call, not in narrower ones.
 BLOCK_KEYS = 256
 
 # Powers per limb GEMM. A class sum is exact up to 682 columns (derived in
@@ -138,9 +142,9 @@ _STREAM_BLOCKS = 16
 # Streams per `_stream_heads` pass: its work buffer stays near 1 MB.
 _HEAD_CHUNK = 4096
 
-# Words in a thread's scratch area: the largest block buffers in use, 930
-# KB for 69 rows at k = 40, fit.
-_SCRATCH_WORDS = 1 << 17
+# Words in a thread's scratch area (4 MiB). The kernel's key blocks are
+# sized to it: 1,154 keys for 69 rows at k = 40, 2,221 for 34 rows at k = 32.
+_SCRATCH_WORDS = 1 << 19
 # The calling thread's scratch area (`thread_scratch`), as the attribute `words`.
 _SCRATCH = threading.local()
 
@@ -547,17 +551,18 @@ def eval_poly_rows(limbs: tuple, keys: np.ndarray, gamma: np.ndarray, runs: tupl
     the one polynomial kernel, called by `RowStack.flat_cells`: a sketch's
     stack sweeps all its rows in one call, and KWiseHash.eval_batch one row.
 
-    Keys go in blocks of BLOCK_KEYS, so temporaries are bounded by
-    (3*rows or 3*k) x BLOCK_KEYS whatever the batch size; the blocks'
-    buffers come from the calling thread's scratch area
-    (`_block_buffers`), and the (rows, n) output is a fresh array. It never
-    nests with the area's other user, `core.reduce_lanes`. Values stay
-    below 2^61 + 8, congruent mod 2^61-1 but not canonical, until the
-    last step. Per block:
+    Keys go in blocks of `_block_keys` keys: as many as the calling
+    thread's scratch area holds the buffers of, and never fewer than
+    BLOCK_KEYS. So temporaries are bounded by the area, or past it by
+    (3*rows or 3*k) x BLOCK_KEYS, whatever the batch size; the blocks'
+    buffers come from that area (`_block_buffers`), and the (rows, n)
+    output is a fresh array. It never nests with the area's other user,
+    `core.reduce_lanes`. Values stay below 2^61 + 8, congruent mod 2^61-1
+    but not canonical, until the last step. Per block:
     1. Powers: P[j] == x^j mod 2^61-1 for j < k, each below 2^61 + 4, by
        doubling (P[b+1 : 2b+1] = P[1 : b+1] * x^b), so one vectorized
        multiply-mod (`_mulmod61`) per level: ceil(log2(k)) - 1 of them,
-       none wider than (k/2, BLOCK_KEYS).
+       none wider than (k/2, block keys).
     2. Limbs: powers split like the coefficients, x^j = X0 + X1*2^21 +
        X2*2^42 with X0, X1 < 2^21 and X2 <= 2^19, and converted to
        float64 through int64, which numpy vectorizes.
@@ -576,12 +581,14 @@ def eval_poly_rows(limbs: tuple, keys: np.ndarray, gamma: np.ndarray, runs: tupl
     """
     rows = limbs[0].shape[1]
     k = sum(c.shape[2] for c in limbs) // 3
+    widest = limbs[0].shape[2] // 3         # the first chunk's powers
+    block = _block_keys(rows, k, widest)
     out = np.empty((rows, keys.size), dtype=np.uint64)
     bufs = None
-    for start in range(0, keys.size, BLOCK_KEYS):
-        x = keys[start : start + BLOCK_KEYS]
+    for start in range(0, keys.size, block):
+        x = keys[start : start + block]
         if bufs is None or bufs[0].shape[1] != x.size:
-            bufs = _block_buffers(rows, k, limbs[0].shape[2] // 3, x.size)
+            bufs = _block_buffers(rows, k, widest, x.size)
         powers, shared, classes = bufs
         _powers(x, k, powers, shared)
         acc, j = None, 0
@@ -604,6 +611,24 @@ def eval_poly_rows(limbs: tuple, keys: np.ndarray, gamma: np.ndarray, runs: tupl
     return out
 
 
+def _block_words(rows: int, k: int, kc: int) -> tuple:
+    """Words per key of `_block_buffers`' (powers, shared, classes), for
+    `rows` rows at degree bound k in chunks of kc powers."""
+    return k, max(3 * max((k - 1) // 2, 1), kc, 3 * rows), max(3 * kc, 3 * rows)
+
+
+def _block_keys(rows: int, k: int, kc: int) -> int:
+    """Keys per `eval_poly_rows` block: as many as the thread's scratch area
+    holds the buffers of, and at least BLOCK_KEYS.
+
+    1,154 at 69 rows and k = 40, 1,230 at 65 rows and k = 36. At 1,022
+    rows and k = 272 the area holds 81 keys' buffers, but blocks that
+    narrow hashed 512 keys in 44 ms, against 34 ms in 256-key blocks from
+    a fresh array.
+    """
+    return max(BLOCK_KEYS, _SCRATCH_WORDS // sum(_block_words(rows, k, kc)))
+
+
 def _block_buffers(rows: int, k: int, kc: int, n: int) -> tuple:
     """(powers, shared, classes): the buffers of n-key blocks, reused by each.
 
@@ -613,18 +638,18 @@ def _block_buffers(rows: int, k: int, kc: int, n: int) -> tuple:
     power limbs, then the class sums. Overlaying buffers whose lifetimes
     do not meet keeps each within (3*rows or 3*k) x n, the size of the
     largest temporary they replace. All three are carved, back to back,
-    from one `thread_scratch` request of
+    from one `thread_scratch` request of `_block_words` words per key:
         (k + max(3*max((k-1)//2, 1), kc, 3*rows) + max(3*kc, 3*rows)) * n
-    words: 930 KB at 69 rows, k = 40 and n = 256, inside the calling
-    thread's area, so a call after the first at its shape allocates and
-    page-faults none of them. Past the area (3.2 MB at 256 rows and k =
-    32), the request is one fresh array per call. Inside the area, taking
-    them again, as a shorter last block does, hands out the same memory.
+    words, 930 KB at 69 rows, k = 40 and n = 256 and up to the whole area
+    at `_block_keys` keys. Inside the calling thread's area, a call after
+    the first at its shape allocates and page-faults none of them. Past
+    the area (13.1 MB at 1,022 rows, k = 272 and n = 256), the request is
+    one fresh array per call. Inside the area, taking them again, as a
+    shorter last block does, hands out the same memory.
     """
-    a = k * n
-    b = a + max(3 * max((k - 1) // 2, 1), kc, 3 * rows) * n
-    buf = thread_scratch(b + max(3 * kc, 3 * rows) * n)
-    return buf[:a].reshape(k, n), buf[a:b], buf[b:]
+    p, s, c = (w * n for w in _block_words(rows, k, kc))
+    buf = thread_scratch(p + s + c)
+    return buf[:p].reshape(k, n), buf[p : p + s], buf[p + s :]
 
 
 def _gamma_runs(gamma: np.ndarray) -> tuple:
@@ -757,8 +782,9 @@ class PowerHash:
     against, and the reference decoder calls it. `eval_batch` reads each
     distinct key's 8-bit windows from `_power_table(a, q, p.bit_length())`,
     shared by every hash with the same (a, q) and built once per process,
-    so a key costs one lookup per window and a multiply-mod between them
-    (at most 8 lookups for 64-bit p) instead of about 61 squarings.
+    so a key costs one lookup per window (at most 8 for 64-bit p), the
+    lookups' product and one reduction mod q, instead of about 61
+    squarings.
     """
 
     __slots__ = ("base", "modulus", "key_bound")
@@ -790,8 +816,8 @@ class PowerHash:
         table = _power_table(self.base, q, self.key_bound.bit_length())
         acc = table[0][uniq & _WINDOW_MASK]
         for j in range(1, len(table)):
-            acc = acc * table[j][(uniq >> np.uint64(_WINDOW_BITS * j)) & _WINDOW_MASK] % q
-        return acc[inverse]
+            acc = acc * table[j][(uniq >> np.uint64(_WINDOW_BITS * j)) & _WINDOW_MASK]
+        return (acc % q)[inverse]
 
     def __eq__(self, other) -> bool:
         return (

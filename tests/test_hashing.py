@@ -97,11 +97,22 @@ def test_eval_poly_rows_matches_oracle():
         assert got[r].tolist() == want
 
 
-@pytest.mark.parametrize("n", [1, 255, 256, 257, 700])
+def block_edge(rows, k):
+    """Keys per `eval_poly_rows` block for `rows` rows at degree bound k."""
+    return hashing._block_keys(rows, k, min(k, hashing.CHUNK_POWERS))
+
+
+EDGE_4_12 = block_edge(4, 12)
+
+
+@pytest.mark.parametrize("n", [1, 255, 256, 257, 700, EDGE_4_12 - 1, EDGE_4_12, EDGE_4_12 + 1,
+                               2 * EDGE_4_12 + 188])
 def test_eval_poly_rows_blocks_extremes_and_gamma_column(n):
-    # Batches around the key block size, all-maximal coefficients and keys
+    # Batches around the block floor BLOCK_KEYS, around this shape's key
+    # block edge and past two blocks, all-maximal coefficients and keys
     # (the largest limbs) beside random ones, and a per-row bucket range
     # column.
+    assert EDGE_4_12 > 2 * hashing.BLOCK_KEYS
     top = MERSENNE61 - 1                       # 2^61-2, the largest field element
     rng = np.random.default_rng(n)
     cm = rng.integers(0, MERSENNE61, size=(4, 12), dtype=np.uint64)
@@ -166,26 +177,46 @@ def random_stack(rows, k, seed):
 
 
 def test_warm_kernel_allocates_only_its_output():
-    # The C1 shape: 34 rows, k = 32, 256 keys. The block buffers come from
-    # the thread's scratch area, which tracemalloc does not see; what is
-    # left beside the (34, 256) output is numpy's ufunc cast buffer.
-    stack = StackedSketch(Params(n=256, delta=2.0**-8))._stack
-    keys = np.random.default_rng(3).integers(0, MERSENNE61, size=256, dtype=np.uint64)
-    stack.flat_cells(keys)
-    tracemalloc.start()
-    try:
-        out = stack.flat_cells(keys)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert out.shape == (34, 256)
-    assert peak < out.nbytes + 100_000
+    # The C1 shape (34 rows, k = 32, 256 keys) and the `bulk` insert shape
+    # (69 rows, k = 40, 6,144 keys, in blocks of 1,154). The block buffers
+    # come from the thread's scratch area, which tracemalloc does not see;
+    # what is left beside the output is numpy's ufunc cast buffer.
+    for params, n, shape in ((Params(n=256, delta=2.0**-8), 256, (34, 256)),
+                             (Params(n=4096, delta=2.0**-10), 6144, (69, 6144))):
+        stack = StackedSketch(params)._stack
+        keys = np.random.default_rng(3).integers(0, MERSENNE61, size=n, dtype=np.uint64)
+        stack.flat_cells(keys)
+        tracemalloc.start()
+        try:
+            out = stack.flat_cells(keys)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.shape == shape
+        assert peak < out.nbytes + 100_000
+
+
+def test_a_reconcile_batch_is_one_kernel_block(monkeypatch):
+    # Key blocks fill the thread's scratch area: a `reconcile`-shape batch
+    # (65 rows, k = 36, 1,152 keys) computes its powers once, not per
+    # 256 keys.
+    stack = StackedSketch(Params(n=256, delta=2.0**-10, mode="checksum"))._stack
+    assert stack.coefficients.shape == (65, 36)
+    keys = np.random.default_rng(8).integers(0, 2**60, size=1152, dtype=np.uint64)
+    want = stack.flat_cells(keys)
+    calls = []
+    powers = hashing._powers
+    monkeypatch.setattr(hashing, "_powers", lambda x, *a: calls.append(x.size) or powers(x, *a))
+    assert np.array_equal(stack.flat_cells(keys), want)
+    assert calls == [1152]
 
 
 def test_scratch_after_a_larger_shape_gives_fresh_thread_results(on_fresh_thread):
-    # 256 rows at k = 32 need 3.2 MB, past the area; 69 rows at k = 40
-    # fill 930 KB of it, and 5 rows at k = 3 reuse its start.
-    huge = random_stack(256, 32, 3)
+    # 400 rows at k = 32 need 5.0 MB for a 256-key block, past the area;
+    # 69 rows at k = 40 fill 2.5 MB of it with 700 keys, and 5 rows at
+    # k = 3 reuse its start.
+    huge = random_stack(400, 32, 3)
+    assert sum(hashing._block_words(400, 32, 32)) * hashing.BLOCK_KEYS > hashing._SCRATCH_WORDS
     big, small = random_stack(69, 40, 1), random_stack(5, 3, 2)
     keys = np.random.default_rng(4).integers(0, MERSENNE61, size=700, dtype=np.uint64)
     want_huge = on_fresh_thread(lambda: huge.flat_cells(keys))
@@ -282,16 +313,18 @@ def test_threads_hashing_different_shapes_match_serial():
 
 @pytest.mark.parametrize("k", [1, 40, 600])
 def test_eval_poly_rows_batch_is_concatenation_of_pieces(k):
-    # Splits at the key block edges and a random point: blocks share
-    # buffers within a call, so no block may depend on another.
+    # Splits at the key block edge and a random point of a batch past two
+    # blocks: blocks share buffers within a call, so no block may depend
+    # on another. At k = 600 a 256-key block does not fit the area.
     rng = np.random.default_rng(k)
     cm = rng.integers(0, MERSENNE61, size=(5, k), dtype=np.uint64)
     limbs = coeff_limbs(cm)
     gamma = np.array([[7], [7], [1000], [MERSENNE61 - 1], [2]], dtype=np.uint64)
-    keys = rng.integers(0, MERSENNE61, size=700, dtype=np.uint64)
+    edge = block_edge(5, k)
+    keys = rng.integers(0, MERSENNE61, size=2 * edge + 188, dtype=np.uint64)
     runs = hashing._gamma_runs(gamma.reshape(-1))
     whole = eval_poly_rows(limbs, keys, gamma, runs)
-    for cut in (1, 255, 256, 257, int(rng.integers(2, 699))):
+    for cut in (1, edge - 1, edge, edge + 1, int(rng.integers(2, keys.size - 1))):
         parts = [eval_poly_rows(limbs, part, gamma, runs) for part in (keys[:cut], keys[cut:])]
         assert np.array_equal(np.concatenate(parts, axis=1), whole)
 

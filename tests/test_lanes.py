@@ -110,7 +110,7 @@ def test_reduce_after_a_larger_kernel_call_gives_fresh_thread_results(on_fresh_t
     s = reconcile_store()
     lanes, q = s._cells.hash_sum[:, :5000], s.params.q
     want = on_fresh_thread(lambda: reduce_lanes(lanes, q))
-    s._stack.flat_cells(np.arange(700, dtype=np.uint64))   # (65, 36): 872 KB of the area
+    s._stack.flat_cells(np.arange(700, dtype=np.uint64))   # (65, 36): 2.4 MB of the area
     assert np.array_equal(reduce_lanes(lanes, q), want)
     assert np.array_equal(reduce_lanes(lanes[:, :9], q), want[:, :9])
 
