@@ -7,8 +7,9 @@ so the CSV output is byte-identical across runs.
 Exit status is nonzero iff a measured value exceeds its bound beyond the
 declared slack (mean + 3*sqrt(mean) + 1 for counting experiments, exact
 for the others), which makes the harness usable as a CI gate. Each
-command checks every parameter, counts included, before its first trial
-(argparse only parses numbers); a bad one is a usage error, exit status 2.
+command checks every parameter, counts and --out included, before its
+first trial (argparse only parses numbers); a bad one is a usage error,
+exit status 2. The --out file is written only when the run ends.
 
 Each subcommand takes only the options it reads, and --out (CSV path):
     unique-hash     --n --trials --seed --big-c --k
@@ -25,6 +26,7 @@ import contextlib
 import dataclasses
 import itertools
 import math
+import os
 import sys
 
 import numpy as np
@@ -58,9 +60,12 @@ def _parse_delta(text: str) -> float:
 
 @contextlib.contextmanager
 def _parameters(args):
-    # Checks a command's counts and marks its other checks, all before its first
-    # trial: a ValueError there is a usage error; anywhere else, it keeps its traceback.
+    # Checks a command's counts and --out and marks its other checks, all before its
+    # first trial: a ValueError there is a usage error; anywhere else, it keeps its traceback.
     try:
+        if args.out and (os.path.isdir(args.out)
+                         or not os.path.isdir(os.path.dirname(args.out) or ".")):
+            raise ValueError(f"out must name a file in an existing directory: {args.out!r}")
         for name, low in dict(trials=1, load=0, ell_max=1, size_a=0, size_b=0, diff=0).items():
             if getattr(args, name, None) is not None:
                 check_int(getattr(args, name), name, low)

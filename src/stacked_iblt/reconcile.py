@@ -14,13 +14,14 @@ Envelope layout (all little-endian)::
     item_balance i64
     then the sketch's cell store: per table, cells row-major, per cell:
     key_sum u64 | value_sum u64 | count i64 | hash_sum u128 (checksum mode)
+    where hash_sum is the same bytes as its four u32 limbs, low limb first.
 
 The payload is the sketch's flat cell store in order, so each direction
 handles it as one record array. In memory a hash_sum is four int64 lanes
 of 32-bit limbs, unreduced (`core.CellStore`): `serialize` reduces them
-once, with `CellStore.residues`, and packs limb pairs into the h0 and h1
-words; `deserialize` splits the words back into lanes with uint64 shifts
-and masks. Neither holds a Python int per cell.
+once, with `CellStore.residues`, and writes the canonical limbs as they
+are; `deserialize` copies them back into the lanes. Neither holds a
+Python int per cell or does limb arithmetic.
 
 delta travels as a binary64 float; every derived integer (tau, layout) is recomputed from Params on receipt and
 checked against the 64-bit layout digest, so a drifting recomputation can
@@ -47,11 +48,7 @@ VERSION = 1
 _HEADER = struct.Struct("<4sHBIQQdddQ16sQq")
 
 _PLAIN_CELL = np.dtype([("k", "<u8"), ("v", "<u8"), ("c", "<i8")])
-_CHECKSUM_CELL = np.dtype([("k", "<u8"), ("v", "<u8"), ("c", "<i8"),
-                           ("h0", "<u8"), ("h1", "<u8")])
-
-_MASK64 = (1 << 64) - 1
-_LOW32, _32 = np.uint64(0xFFFFFFFF), np.uint64(32)
+_CHECKSUM_CELL = np.dtype([("k", "<u8"), ("v", "<u8"), ("c", "<i8"), ("h", "<u4", (4,))])
 
 
 class EnvelopeError(ValueError):
@@ -80,9 +77,7 @@ def serialize(sketch: StackedSketch) -> bytes:
                    dtype=_CHECKSUM_CELL if checksum_mode else _PLAIN_CELL)
     rec["k"], rec["v"], rec["c"] = cells.key_sum, cells.value_sum, cells.count
     if checksum_mode:
-        r = cells.residues().view(np.uint64)   # canonical limbs: non-negative
-        rec["h0"] = r[0] | (r[1] << _32)
-        rec["h1"] = r[2] | (r[3] << _32)
+        rec["h"] = cells.residues().T       # canonical limbs, each below 2^32
     return header + memoryview(rec)     # one copy of the payload, not two
 
 
@@ -121,8 +116,8 @@ def deserialize(data: bytes) -> StackedSketch:
     rec = np.frombuffer(data, dtype=cell_dtype, count=layout.total_cells,
                         offset=_HEADER.size)
     if mode_byte:
-        h0, h1 = rec["h0"], rec["h1"]
-        q_hi, q_lo = np.uint64(q >> 64), np.uint64(q & _MASK64)
+        h0, h1 = rec["h"].view("<u8").T     # the same 16 bytes as two words
+        q_lo, q_hi = np.frombuffer(q_raw, dtype="<u8")
         bad = np.flatnonzero((h1 > q_hi) | ((h1 == q_hi) & (h0 >= q_lo)))
         if bad.size:
             table = next(t for t, (_, cells) in enumerate(layout.spans)
@@ -133,9 +128,7 @@ def deserialize(data: bytes) -> StackedSketch:
     cells = sketch._cells       # written in place: the sketch owns its cells
     cells.key_sum[:], cells.value_sum[:], cells.count[:] = rec["k"], rec["v"], rec["c"]
     if mode_byte:
-        lanes = cells.hash_sum      # canonical limbs, within the fresh store's bound
-        lanes[0], lanes[1] = h0 & _LOW32, h0 >> _32
-        lanes[2], lanes[3] = h1 & _LOW32, h1 >> _32
+        cells.hash_sum[:] = rec["h"].T      # canonical limbs, within the fresh store's bound
     return sketch
 
 

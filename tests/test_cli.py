@@ -325,6 +325,36 @@ def test_no_sketch_is_built_for_the_key_domain(argv, sketches, monkeypatch, tmp_
     assert len(built) == sketches
 
 
+@pytest.mark.parametrize("argv", [
+    ["unique-hash", "--n", "16", "--trials", "3"],
+    ["decode-failure", "--n", "16", "--delta", "2^-4", "--trials", "3"],
+    ["space", "--n", "16", "--delta", "2^-4"],
+    ["lemma3", "--p", "3", "--q", "7", "--ell-max", "1"],
+    ["reconcile-demo", "--n", "16", "--delta", "2^-4", "--size-a", "40", "--size-b", "40"],
+])
+@pytest.mark.parametrize("where", ["missing/out.csv", "folder"])
+def test_bad_out_is_a_usage_error_before_any_build(argv, where, monkeypatch, tmp_path, capsys):
+    # An --out in a missing directory, or naming a directory, is refused with
+    # the other parameters: no sketch or row stack is built, no file written.
+    (tmp_path / "folder").mkdir()
+    built = []
+    real_sketch, real_sketch_of = cli.StackedSketch, cli.sketch_of
+    real_from_streams = cli.RowStack.from_streams
+    monkeypatch.setattr(cli, "StackedSketch", lambda params: built.append(params)
+                        or real_sketch(params))
+    monkeypatch.setattr(cli, "sketch_of", lambda pairs, params: built.append(params)
+                        or real_sketch_of(pairs, params))
+    monkeypatch.setattr(cli.RowStack, "from_streams", lambda *a: built.append(a)
+                        or real_from_streams(*a))
+    out = tmp_path / where
+    assert exit_code(argv + ["--out", str(out)]) == 2
+    last = capsys.readouterr().err.splitlines()[-1]
+    assert last.startswith(f"stacked-iblt {argv[0]}: error: out ") and str(out) in last
+    assert built == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["folder"]
+    assert list((tmp_path / "folder").iterdir()) == []
+
+
 def test_error_after_the_checks_keeps_its_traceback(monkeypatch, tmp_path):
     def broken(*args):
         raise ValueError("not a parameter error")

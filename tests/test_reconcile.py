@@ -129,14 +129,22 @@ def test_non_canonical_hash_sum_rejected():
     # hash_sum == q is congruent to 0 but not reduced: an empty sketch
     # carrying it would decode as incomplete, so the envelope is refused,
     # naming the cell's table. Each table's first and last cell are tried;
-    # q - 1 is canonical and shows in that table's grid.
+    # q - 1 is canonical and shows in that table's grid. The check compares
+    # the high 64-bit words, then the low ones: a value with the high word
+    # below q's and the low word above q's is canonical; q + 1, with the
+    # high word equal and the low word above, is not, nor is a high word
+    # above q's over a low word of 0.
+    q = CHECK.q
+    assert (1 << 64) - 1 > q & ((1 << 64) - 1) and q >> 64 > 0
     empty = serialize(StackedSketch(CHECK))
     end = 0
     for t, (rows, cols) in enumerate(plan_layout(CHECK).tables):
         end += rows * cols
         for cell, at in ((end - rows * cols, (0, 0)), (end - 1, (-1, -1))):
             off = _HEADER.size + 40 * cell + 24     # the cell's u128 hash_sum
-            for value, ok in ((CHECK.q - 1, True), (CHECK.q, False), ((1 << 128) - 1, False)):
+            for value, ok in ((q - 1, True), (((q >> 64) - 1) << 64 | (1 << 64) - 1, True),
+                              (q, False), (q + 1, False), ((q >> 64) + 1 << 64, False),
+                              ((1 << 128) - 1, False)):
                 blob = bytearray(empty)
                 blob[off:off + 16] = value.to_bytes(16, "little")
                 if ok:
