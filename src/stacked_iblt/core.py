@@ -17,13 +17,14 @@ Mutation has one path, shared with StackedSketch: the `Mutations`
 adapters (insert, insert_arrays, delete, delete_pairs) validate each
 batch once in `_update` with `hashing.check_uint64`, the one batch integer
 check (`BasicTable`'s sizes take `hashing.check_int`, the scalar one),
-hash it once with the class's row stack `_stack` (indices into its
-store), and hand the indices with the (keys, values, weights) arrays to
-its trusted `_apply`. Both classes' `_apply`,
-and the stacked decoder, call the one `scatter`: it refuses a read-only
-store, ravels the (rows, n) indices and tiles the signed keys, values and
-weights to match, so each field (each hash lane) takes one 1-D
-`np.add.at` (numpy's fast path for `ufunc.at`).
+and hand the (keys, values, weights) arrays to its trusted `_apply`.
+Both classes' `_apply`, and the stacked decoder, call the one `scatter`
+with the class's row stack `_stack`: it refuses a read-only store, then
+walks the batch one key block (`RowStack.block`, the hash kernel's own)
+at a time. Per block it takes the store indices from `flat_cells`,
+ravels them and tiles the block's signed keys, values and weights to
+match, so each field (each hash lane) takes one 1-D `np.add.at` (numpy's
+fast path for `ufunc.at`) and no temporary outgrows the block.
 Extraction is an array stage as well: `extract` returns a store's pure
 cells as (keys, values, signs, glanes) arrays, checked in checksum mode by
 one `eval_batch` whose power hashes, as lanes, the decoder's scatter
@@ -162,10 +163,11 @@ def _reduce_block(lanes: np.ndarray, q: int, out: np.ndarray) -> None:
 
 
 class Mutations:
-    """Insert/delete adapters over a trusted `_apply(flat, keys, values, weights)`.
+    """Insert/delete adapters over a trusted `_apply(keys, values, weights)`.
 
-    A weight w in {+1,-1} adds w times the pair; `_update` validates, and
-    `_stack` hashes the keys to the flat cell indices `_apply` scatters to.
+    A weight w in {+1,-1} adds w times the pair; `_update` validates once
+    per call, and `_apply` hands the whole batch to `scatter`, which hashes
+    it with `_stack` block by block.
     """
 
     __slots__ = ()
@@ -204,8 +206,8 @@ class Mutations:
         if keys.ndim != 1 or values.shape != keys.shape:
             raise ValueError("keys and values must be 1-D arrays of equal length")
         if keys.size:
-            weights = np.broadcast_to(np.asarray(weights, dtype=np.int64), keys.shape)
-            self._apply(self._stack.flat_cells(keys), keys, values, weights)
+            self._apply(keys, values,
+                        np.broadcast_to(np.asarray(weights, dtype=np.int64), keys.shape))
 
 
 @dataclass(eq=False, slots=True)
@@ -318,15 +320,22 @@ class CellStore:
         return True
 
 
-def scatter(cells: CellStore, checksum: PowerHash | None, flat, keys, values, weights,
-            glanes=None) -> None:
+def scatter(cells: CellStore, checksum: PowerHash | None, stack: RowStack, keys, values,
+            weights, glanes=None) -> None:
     """Add w * (k, v, 1, g(k)) at each row's cell of every pair: the one scatter.
 
-    Trusted: flat holds (rows, n) indices into `cells`, keys (in the
+    Trusted: `stack` hashes keys to indices into `cells`, keys (in the
     domain) and values are uint64, weights int64 w in {+1,-1}; glanes, the
     power hashes of the keys as `to_lanes` limbs, are computed when not
-    given. Each hash lane takes w * limb unreduced, in blocks of fewer than
-    LANE_BUDGET keys, each first counted by `CellStore.reserve`.
+    given. The batch goes one key block of `stack.block` keys at a time,
+    the hash kernel's own block (`hashing._block_keys`): the block's
+    (rows, b) indices from `flat_cells`, raveled, and its signed keys,
+    values and weights (and, in checksum mode, its power hashes) tiled to
+    match, one field's tile at a time. So every temporary is bounded by
+    the block, whatever the batch size, and cell sums are exact, so block
+    order changes no cell. Each hash lane takes w * limb unreduced, in
+    blocks of fewer than LANE_BUDGET keys, each first counted by
+    `CellStore.reserve`.
     A read-only store raises ValueError: `np.add.at` would write through
     it, flag or not, so this check is what keeps a segment read-only.
     `np.add.at` takes its indices as intp and would convert uint64 ones
@@ -336,26 +345,25 @@ def scatter(cells: CellStore, checksum: PowerHash | None, flat, keys, values, we
     """
     if not cells.count.flags.writeable:
         raise ValueError("read-only cells: a sketch's tables are views; update the sketch")
-    rows = flat.shape[0]
-    idx = flat.reshape(-1).view(np.int64)
     sign = weights.view(np.uint64)      # 1 or 2^64-1: a wrapping product negates
-    np.add.at(cells.key_sum, idx, np.tile(keys * sign, rows))
-    np.add.at(cells.value_sum, idx, np.tile(values * sign, rows))
-    np.add.at(cells.count, idx, np.tile(weights, rows))
-    if checksum is None:
-        return
-    if glanes is None:
-        glanes = to_lanes(checksum.eval_batch(keys))
-    signed = glanes * weights
     step = LANE_BUDGET - 1
-    for start in range(0, keys.size, step):
-        block = flat[:, start:start + step]
-        cells.reserve(block.shape[1])
-        block = block.reshape(-1).view(np.int64)
-        # One lane's tile at a time: all four at once would be the largest
-        # temporary of a checksum op.
-        for lane, add in zip(cells.hash_sum, signed[:, start:start + step]):
-            np.add.at(lane, block, np.tile(add, rows))
+    for a in range(0, keys.size, stack.block):
+        part = slice(a, a + stack.block)
+        k, w = keys[part], weights[part]
+        flat = stack.flat_cells(k)
+        rows, idx = flat.shape[0], flat.reshape(-1).view(np.int64)
+        np.add.at(cells.key_sum, idx, np.tile(k * sign[part], rows))
+        np.add.at(cells.value_sum, idx, np.tile(values[part] * sign[part], rows))
+        np.add.at(cells.count, idx, np.tile(w, rows))
+        if checksum is None:
+            continue
+        signed = (to_lanes(checksum.eval_batch(k)) if glanes is None else glanes[:, part]) * w
+        for start in range(0, k.size, step):
+            block = flat[:, start:start + step]
+            cells.reserve(block.shape[1])
+            block = block.reshape(-1).view(np.int64)
+            for lane, add in zip(cells.hash_sum, signed[:, start:start + step]):
+                np.add.at(lane, block, np.tile(add, rows))
 
 
 def extract(cells: CellStore, checksum: PowerHash | None) -> tuple:
@@ -445,8 +453,8 @@ class BasicTable(Mutations):
     def mode(self) -> str:
         return "checksum" if self.checksum is not None else "plain"
 
-    def _apply(self, flat, keys, values, weights) -> None:
-        scatter(self._cells, self.checksum, flat, keys, values, weights)
+    def _apply(self, keys, values, weights) -> None:
+        scatter(self._cells, self.checksum, self._stack, keys, values, weights)
 
     # -- queries ----------------------------------------------------------
 

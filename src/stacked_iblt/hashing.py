@@ -448,12 +448,14 @@ class RowStack:
     first cell in a flat store of the rows back to back, `gamma` cells
     each; `limbs` the matrix's `coeff_limbs` form and `runs` the
     `_gamma_runs` of `gamma`, both built once per stack and shared, cut to
-    their rows, by its segments. The constructor raises ValueError for
-    anything else: `eval_poly_rows` is exact only for field elements, and
-    a zero range has no bucket.
+    their rows, by its segments; `block` the kernel's keys per block at
+    the stack's shape (`_block_keys`), by which `core.scatter` walks a
+    batch. The constructor raises ValueError for anything else:
+    `eval_poly_rows` is exact only for field elements, and a zero range
+    has no bucket.
     """
 
-    __slots__ = ("coefficients", "gamma", "offsets", "limbs", "runs")
+    __slots__ = ("coefficients", "gamma", "offsets", "limbs", "runs", "block")
 
     def __init__(self, coefficients, gamma):
         cm = np.array([check_uint64(row, "coefficients", 0, MERSENNE61) for row in coefficients])
@@ -474,6 +476,7 @@ class RowStack:
             runs = _gamma_runs(gamma.reshape(-1))
         self.coefficients, self.gamma, self.offsets, self.limbs = cm, gamma, offsets, limbs
         self.runs = runs
+        self.block = _block_keys(*cm.shape, limbs[0].shape[2] // 3)
 
     @classmethod
     def draw(cls, seed: int, k: int, dims) -> "RowStack":
@@ -534,10 +537,16 @@ def coeff_limbs(coeff_matrix: np.ndarray) -> tuple:
     """
     cm = np.asarray(coeff_matrix, dtype=np.uint64)
     shift, scale = _CLASS_LIMBS
-    return tuple(
-        (((cm[None, :, None, a : a + CHUNK_POWERS] >> shift) & _M21) << scale)
-        .reshape(3, cm.shape[0], -1).astype(np.float64)
-        for a in range(0, cm.shape[1], CHUNK_POWERS))
+    rows, out = cm.shape[0], []
+    for a in range(0, cm.shape[1], CHUNK_POWERS):
+        chunk = cm[None, :, None, a : a + CHUNK_POWERS]
+        # One uint64 temporary per chunk: shifted, masked and scaled in place.
+        limbs = np.empty((3, rows, 3, chunk.shape[3]), dtype=np.uint64)
+        np.right_shift(chunk, shift, out=limbs)
+        limbs &= _M21
+        limbs <<= scale
+        out.append(limbs.reshape(3, rows, -1).astype(np.float64))
+    return tuple(out)
 
 
 def eval_poly_rows(limbs: tuple, keys: np.ndarray, gamma: np.ndarray, runs: tuple) -> np.ndarray:
@@ -619,7 +628,9 @@ def _block_words(rows: int, k: int, kc: int) -> tuple:
 
 def _block_keys(rows: int, k: int, kc: int) -> int:
     """Keys per `eval_poly_rows` block: as many as the thread's scratch area
-    holds the buffers of, and at least BLOCK_KEYS.
+    holds the buffers of, and at least BLOCK_KEYS. It also sizes the
+    scatter's key blocks: `RowStack.block` holds it for the stack's shape,
+    and `core.scatter` hashes and applies a batch one such block at a time.
 
     1,154 at 69 rows and k = 40, 1,230 at 65 rows and k = 36. At 1,022
     rows and k = 272 the area holds 81 keys' buffers, but blocks that

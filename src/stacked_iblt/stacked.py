@@ -13,10 +13,10 @@ matrix with its kernel limbs and per-row store offsets (table base + row
 * cols). The rows, like the checksum hash, are fixed by Params, so they
 are drawn once per Params and shared, read-only, by every sketch built
 with it (`_row_stack`, `_checksum_hash`): a reconciliation session's
-envelopes all rebuild one sketch shape. One `flat_cells` call gives a
-batch's indices for every row of every table, and one `scatter` applies
-it. Only the sketch writes its cells: `tables` are read-only views,
-bounded by `LayoutPlan.spans`.
+envelopes all rebuild one sketch shape. One `scatter` call applies a
+batch to every row of every table, hashing it with the stack one key
+block at a time (`RowStack.block`). Only the sketch writes its cells:
+`tables` are read-only views, bounded by `LayoutPlan.spans`.
 
 Decoding peels each table once, in order: `core.extract` returns table
 i's pure cells as arrays (with their power hashes in checksum mode), and
@@ -308,9 +308,10 @@ class StackedSketch(Mutations):
 
     # -- mutation ---------------------------------------------------------
 
-    def _apply(self, flat, keys, values, weights) -> None:
-        # Trusted, like BasicTable._apply: one scatter into the whole store.
-        scatter(self._cells, self.checksum, flat, keys, values, weights)
+    def _apply(self, keys, values, weights) -> None:
+        # Trusted, like BasicTable._apply: one scatter call into the whole
+        # store, which walks the batch by key block; the balance moves once.
+        scatter(self._cells, self.checksum, self._stack, keys, values, weights)
         self.item_balance += int(weights.sum())
 
     # -- queries ----------------------------------------------------------
@@ -356,8 +357,8 @@ class StackedSketch(Mutations):
                 keys = keys[take]
                 if glanes is not None:
                     glanes = glanes[:, take]
-                scatter(work._cells, work.checksum, work._stack.flat_cells(keys), keys,
-                        values[take], -signs[take], glanes)
+                scatter(work._cells, work.checksum, work._stack, keys, values[take],
+                        -signs[take], glanes)
         return DecodeOutcome(
             recovered_plus=set(plus.items()),
             recovered_minus=set(minus.items()),

@@ -155,6 +155,30 @@ def test_eval_poly_rows_degrees_across_power_chunks(k):
         assert got[r].tolist() == want
 
 
+def whole_chunk_limbs(cm):
+    """`coeff_limbs` as one expression per chunk, through a temporary per step."""
+    shift, scale = hashing._CLASS_LIMBS
+    return tuple((((cm[None, :, None, a:a + hashing.CHUNK_POWERS] >> shift) & hashing._M21)
+                  << scale).reshape(3, cm.shape[0], -1).astype(np.float64)
+                 for a in range(0, cm.shape[1], hashing.CHUNK_POWERS))
+
+
+@pytest.mark.parametrize("k", [1, 512, 513])
+def test_coeff_limbs_match_the_whole_chunk_expression(k):
+    # Both sides of the CHUNK_POWERS edge, at the smallest and largest field
+    # elements beside random ones.
+    rng = np.random.default_rng(k)
+    cm = rng.integers(0, MERSENNE61, size=(5, k), dtype=np.uint64)
+    cm[0] = 0
+    cm[1] = MERSENNE61 - 1
+    cm[2, ::2] = MERSENNE61 - 1
+    got, want = coeff_limbs(cm), whole_chunk_limbs(cm)
+    assert len(got) == len(want) == -(-k // hashing.CHUNK_POWERS)
+    for g, w in zip(got, want):
+        assert g.dtype == np.float64 and g.flags.c_contiguous
+        assert g.shape == w.shape and np.array_equal(g, w)
+
+
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 8, 9, 16, 17, 32, 33, 40, 64, 65])
 def test_powers_match_pow(k):
     # Every doubling level, including the partial last one, at the extreme
